@@ -1,5 +1,7 @@
 //! Full-pipeline throughput: simulated instructions per second of host time
-//! on a mixed kernel, the tracking metric for the simulator's hot cycle loop.
+//! on a mixed kernel, the tracking metric for the simulator's hot cycle loop,
+//! plus two memory-bound kernels whose windows sit stalled behind LLC misses
+//! (where the run loop skips quiescent cycles).
 //!
 //! Unlike the figure benches (which regenerate paper results), this target
 //! measures the cost of the simulation machinery itself across the headline
@@ -17,12 +19,17 @@ use ltp_workloads::{co_trace, replay_slice, trace, WorkloadKind};
 /// the mixed kernel's compute and memory phases.
 const INSTS: u64 = 6_000;
 
-/// Pre-generated warm and detail traces, shared by every iteration so the
-/// timed region is dominated by the cycle loop, not workload synthesis.
-fn traces() -> (Vec<DynInst>, Vec<DynInst>) {
-    let warm = trace(WorkloadKind::MixedPhases, 7, 2_000);
-    let detail = trace(WorkloadKind::MixedPhases, 8, INSTS as usize);
+/// Pre-generated warm and detail traces of `kind`, shared by every
+/// iteration so the timed region is dominated by the cycle loop, not
+/// workload synthesis.
+fn kernel_traces(kind: WorkloadKind) -> (Vec<DynInst>, Vec<DynInst>) {
+    let warm = trace(kind, 7, 2_000);
+    let detail = trace(kind, 8, INSTS as usize);
     (warm, detail)
+}
+
+fn traces() -> (Vec<DynInst>, Vec<DynInst>) {
+    kernel_traces(WorkloadKind::MixedPhases)
 }
 
 fn sim(cfg: PipelineConfig, warm: &[DynInst], detail: &[DynInst]) -> u64 {
@@ -30,7 +37,7 @@ fn sim(cfg: PipelineConfig, warm: &[DynInst], detail: &[DynInst]) -> u64 {
     cpu.warm_caches(warm);
     // The borrowed replay shares one trace allocation across every
     // iteration; the timed region is purely the cycle loop.
-    cpu.run(replay_slice("mixed_phases", detail), INSTS)
+    cpu.run(replay_slice("kernel", detail), INSTS)
         .expect("no deadlock")
         .cycles
 }
@@ -50,6 +57,13 @@ fn machine_configs(c: &mut Criterion) {
         ),
     ] {
         group.bench_function(label, |b| b.iter(|| sim(cfg, &warm, &detail)));
+    }
+    // The proposed machine on the memory-bound kernels: most cycles wait on
+    // DRAM, so these points track the quiescent-cycle skip.
+    for kind in [WorkloadKind::IndirectStream, WorkloadKind::PointerChase] {
+        let (warm, detail) = kernel_traces(kind);
+        let cfg = PipelineConfig::ltp_proposed();
+        group.bench_function(kind.name(), |b| b.iter(|| sim(cfg, &warm, &detail)));
     }
     group.finish();
 }

@@ -214,6 +214,24 @@ impl LtpQueue {
         self.entries.front().map(|e| e.seq)
     }
 
+    /// Whether [`LtpQueue::pop_release_in_order`] would release the oldest
+    /// entry on a cycle with its dequeue ports still free: it is older than
+    /// `wake_before` and its ticket set is empty. Reads state only.
+    #[must_use]
+    pub fn in_order_release_ready(&self, wake_before: SeqNum) -> bool {
+        self.entries
+            .front()
+            .is_some_and(|f| f.seq.is_older_than(wake_before) && f.tickets.is_empty())
+    }
+
+    /// Whether an Urgent entry with an empty ticket set is waiting, i.e.
+    /// whether [`LtpQueue::pop_release_ready_out_of_order`] would release
+    /// something on a cycle with its dequeue ports still free.
+    #[must_use]
+    pub fn has_ready_urgent(&self) -> bool {
+        !self.ready_urgent.is_empty()
+    }
+
     /// Releases up to `max` instructions in program order whose sequence
     /// number is strictly older than `wake_before` **and** whose ticket set is
     /// empty. This implements the ROB-proximity wakeup of Non-Urgent

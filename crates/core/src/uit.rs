@@ -11,8 +11,7 @@
 //! instructions as Non-Urgent (which hurts performance, §5.6); the unlimited
 //! variant backs the limit study.
 
-use ltp_isa::Pc;
-use std::collections::HashSet;
+use ltp_isa::{IntHashSet, Pc};
 
 /// The Urgent Instruction Table.
 ///
@@ -26,7 +25,7 @@ pub struct Uit {
     /// Finite variant: sets[set] = most-recent-first list of PC tags.
     pub(crate) sets: Vec<Vec<u64>>,
     /// Unlimited variant.
-    pub(crate) unlimited: HashSet<u64>,
+    pub(crate) unlimited: IntHashSet<u64>,
     pub(crate) insertions: u64,
     pub(crate) hits: u64,
     pub(crate) lookups: u64,
@@ -60,7 +59,7 @@ impl Uit {
             sets: (0..num_sets)
                 .map(|_| Vec::with_capacity(ways + 1))
                 .collect(),
-            unlimited: HashSet::new(),
+            unlimited: IntHashSet::default(),
             insertions: 0,
             hits: 0,
             lookups: 0,

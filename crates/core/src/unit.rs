@@ -11,8 +11,7 @@ use crate::rat_ext::RatExtension;
 use crate::tickets::{Ticket, TicketFile, TicketSet};
 use crate::Cycle;
 use inlinevec::InlineVec;
-use ltp_isa::{ArchReg, DynInst, OpClass, Pc, SeqNum};
-use std::collections::HashMap;
+use ltp_isa::{ArchReg, DynInst, IntHashMap, OpClass, Pc, SeqNum};
 
 /// The information about an instruction that the LTP unit needs at rename.
 ///
@@ -170,7 +169,7 @@ pub struct LtpUnit {
     /// had anything attached).
     pub(crate) classifier_attached: bool,
     /// seq -> ticket owned by that (predicted long-latency) instruction.
-    pub(crate) ticket_owner: HashMap<u64, Ticket>,
+    pub(crate) ticket_owner: IntHashMap<u64, Ticket>,
     pub(crate) stats: LtpStats,
 }
 
@@ -198,7 +197,7 @@ impl LtpUnit {
             tickets: TicketFile::new(cfg.num_tickets.max(1)),
             monitor: DramTimerMonitor::new(monitor_timeout.max(1)),
             classifier_attached: false,
-            ticket_owner: HashMap::new(),
+            ticket_owner: IntHashMap::default(),
             stats: LtpStats::default(),
             cfg,
         }
@@ -311,6 +310,21 @@ impl LtpUnit {
     #[must_use]
     pub fn oldest_parked(&self) -> Option<SeqNum> {
         self.queue.oldest()
+    }
+
+    /// Whether [`LtpUnit::pop_release_in_order`] would release the oldest
+    /// parked instruction at the start of a cycle: it is older than
+    /// `wake_before` and all its tickets have cleared. Reads state only.
+    #[must_use]
+    pub fn in_order_release_ready(&self, wake_before: SeqNum) -> bool {
+        self.queue.in_order_release_ready(wake_before)
+    }
+
+    /// Whether [`LtpUnit::pop_release_ready_out_of_order`] has a candidate:
+    /// an Urgent parked instruction whose tickets have all cleared.
+    #[must_use]
+    pub fn has_ready_urgent(&self) -> bool {
+        self.queue.has_ready_urgent()
     }
 
     /// Accumulated statistics.
@@ -473,6 +487,10 @@ impl LtpUnit {
     /// ticket pool. Returns the number of parked instructions that became
     /// fully ready.
     pub fn on_long_latency_completing(&mut self, seq: SeqNum, _now: Cycle) -> usize {
+        // Called for every completing instruction; most own no ticket.
+        if self.ticket_owner.is_empty() {
+            return 0;
+        }
         let Some(ticket) = self.ticket_owner.remove(&seq.0) else {
             return 0;
         };

@@ -38,6 +38,7 @@
 #![warn(missing_debug_implementations)]
 
 mod decoded;
+mod hash;
 mod inst;
 mod mem_access;
 mod op;
@@ -46,6 +47,7 @@ mod snap;
 mod stream;
 
 pub use decoded::{BranchEvent, DecodedTrace, MemEvent};
+pub use hash::{IntHashMap, IntHashSet, IntHasher};
 pub use inst::{BranchInfo, DynInst, SeqNum, StaticInst, ThreadId, MAX_SRCS};
 pub use mem_access::MemAccess;
 pub use op::{ExecLatency, FuKind, OpClass};

@@ -286,8 +286,29 @@ impl Cache {
     /// so it is part of the timing-visible state.
     pub(crate) fn snap_write_sets(&self, w: &mut ltp_snapshot::Writer) {
         // LEB128, identical to `Writer::varint`, but into a stack buffer.
+        // Tags and LRU stamps are 1–4 bytes wide with no pattern, so the
+        // byte-at-a-time loop mispredicts its exit; below 2^28 the four
+        // 7-bit groups are spread into one word, the continuation bits come
+        // from the width, and one 4-byte store (trimmed by advancing `pos`
+        // by the width) replaces the loop.
         #[inline]
         fn put_varint(buf: &mut [u8], mut pos: usize, mut v: u64) -> usize {
+            const CONTINUE: [u32; 4] = [0, 0x80, 0x8080, 0x80_8080];
+            if v < 1 << 28 {
+                if let Some(dst) = buf.get_mut(pos..pos + 4) {
+                    let width = 1
+                        + usize::from(v >= 1 << 7)
+                        + usize::from(v >= 1 << 14)
+                        + usize::from(v >= 1 << 21);
+                    let x = v as u32;
+                    let groups = (x & 0x7f)
+                        | ((x << 1) & 0x7f00)
+                        | ((x << 2) & 0x7f_0000)
+                        | ((x << 3) & 0x7f00_0000);
+                    dst.copy_from_slice(&(groups | CONTINUE[width - 1]).to_le_bytes());
+                    return pos + width;
+                }
+            }
             loop {
                 let mut b = (v & 0x7f) as u8;
                 v >>= 7;

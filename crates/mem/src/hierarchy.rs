@@ -242,6 +242,14 @@ impl MemoryHierarchy {
         self.mshrs.outstanding_at(now)
     }
 
+    /// The first cycle after `now` at which
+    /// [`MemoryHierarchy::outstanding_misses`] changes if no further access
+    /// arrives, or `None` when no miss is in flight at `now`.
+    #[must_use]
+    pub fn next_outstanding_change(&self, now: Cycle) -> Option<Cycle> {
+        self.mshrs.next_change_after(now)
+    }
+
     /// Peak number of simultaneously outstanding misses observed.
     #[must_use]
     pub fn peak_outstanding(&self) -> usize {

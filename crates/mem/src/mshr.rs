@@ -7,7 +7,7 @@
 //! already has an outstanding miss merge into the existing entry.
 
 use crate::Cycle;
-use std::collections::HashMap;
+use ltp_isa::IntHashMap;
 
 /// Result of presenting a miss to the MSHR file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,9 +35,11 @@ pub struct MshrFile {
     /// the hot loop reuses capacity instead of allocating tree nodes; every
     /// ordered decision below breaks ties explicitly, so behaviour is
     /// independent of iteration order.
-    outstanding: HashMap<u64, Cycle>,
-    /// Completion cycles of in-flight misses, used to compute when a full
-    /// file frees an entry.
+    outstanding: IntHashMap<u64, Cycle>,
+    /// The completion cycles of `outstanding`, ascending (a multiset). The
+    /// outstanding count at any cycle and the next cycle at which it changes
+    /// are binary searches here, not scans of the map.
+    completions: Vec<Cycle>,
     peak_occupancy: usize,
     total_allocations: u64,
     total_merges: u64,
@@ -50,12 +52,14 @@ impl MshrFile {
     #[must_use]
     pub fn new(capacity: usize) -> MshrFile {
         assert!(capacity > 0, "MSHR capacity must be at least 1");
+        // Pre-size the tables so miss churn never grows them mid-run (the
+        // live count is bounded by the file capacity; 512 covers the limit
+        // study's practical outstanding-miss population).
+        let reserve = capacity.clamp(64, 512);
         MshrFile {
             capacity,
-            // Pre-size the table so miss churn never rehashes mid-run (the
-            // live count is bounded by the file capacity; 512 covers the
-            // limit study's practical outstanding-miss population).
-            outstanding: HashMap::with_capacity(capacity.clamp(64, 512)),
+            outstanding: IntHashMap::with_capacity_and_hasher(reserve, Default::default()),
+            completions: Vec::with_capacity(reserve),
             peak_occupancy: 0,
             total_allocations: 0,
             total_merges: 0,
@@ -63,15 +67,44 @@ impl MshrFile {
         }
     }
 
+    /// Index of the first entry of `completions` still in flight at `now`.
+    fn first_after(&self, now: Cycle) -> usize {
+        self.completions.partition_point(|&c| c <= now)
+    }
+
     /// Number of misses currently outstanding at `now` (entries whose
     /// completion is still in the future).
     #[must_use]
     pub fn outstanding_at(&self, now: Cycle) -> usize {
-        self.outstanding.values().filter(|&&c| c > now).count()
+        self.completions.len() - self.first_after(now)
+    }
+
+    /// The first cycle after `now` at which [`MshrFile::outstanding_at`]
+    /// changes if no further request arrives, or `None` when nothing is in
+    /// flight at `now`. The count is constant over `now..next`.
+    #[must_use]
+    pub fn next_change_after(&self, now: Cycle) -> Option<Cycle> {
+        self.completions.get(self.first_after(now)).copied()
+    }
+
+    fn completions_insert(&mut self, cycle: Cycle) {
+        let at = self.completions.partition_point(|&c| c <= cycle);
+        self.completions.insert(at, cycle);
+    }
+
+    fn completions_remove(&mut self, cycle: Cycle) {
+        let at = self.completions.partition_point(|&c| c < cycle);
+        debug_assert_eq!(self.completions.get(at), Some(&cycle));
+        self.completions.remove(at);
     }
 
     /// Removes entries that have completed by `now`.
     pub fn retire_completed(&mut self, now: Cycle) {
+        let done = self.first_after(now);
+        if done == 0 {
+            return;
+        }
+        self.completions.drain(..done);
         self.outstanding.retain(|_, &mut c| c > now);
     }
 
@@ -115,16 +148,19 @@ impl MshrFile {
             // Wait until the earliest outstanding miss completes; ties are
             // broken towards the smallest line address (the entry the old
             // ordered-map scan would have found).
-            let (earliest, key) = self
+            let earliest = self.completions[0];
+            let key = self
                 .outstanding
                 .iter()
-                .map(|(&k, &c)| (c, k))
+                .filter(|&(_, &c)| c == earliest)
+                .map(|(&k, _)| k)
                 .min()
                 .expect("full MSHR file has entries");
             let stall = earliest.saturating_sub(now);
             self.full_stall_cycles += stall;
             // Drop the completed entry so we stay within capacity.
             self.outstanding.remove(&key);
+            self.completions.remove(0);
             earliest
         } else {
             now
@@ -133,6 +169,7 @@ impl MshrFile {
         self.total_allocations += 1;
         // Placeholder completion; the caller overwrites it via record_completion.
         self.outstanding.insert(line_addr, issue_cycle);
+        self.completions_insert(issue_cycle);
         self.peak_occupancy = self.peak_occupancy.max(self.outstanding.len());
         MshrOutcome::Allocated { issue_cycle }
     }
@@ -141,7 +178,9 @@ impl MshrFile {
     /// later requests to the same line can merge with it.
     pub fn record_completion(&mut self, line_addr: u64, completion: Cycle) {
         if let Some(entry) = self.outstanding.get_mut(&line_addr) {
-            *entry = completion;
+            let old = std::mem::replace(entry, completion);
+            self.completions_remove(old);
+            self.completions_insert(completion);
         }
     }
 
@@ -180,7 +219,8 @@ impl MshrFile {
 #[derive(Debug)]
 pub(crate) struct MshrSnap {
     pub(crate) capacity: usize,
-    pub(crate) outstanding: HashMap<u64, Cycle>,
+    /// `(line address, completion cycle)` sorted by line address.
+    pub(crate) outstanding: Vec<(u64, Cycle)>,
     pub(crate) peak_occupancy: usize,
     pub(crate) total_allocations: u64,
     pub(crate) total_merges: u64,
@@ -189,9 +229,12 @@ pub(crate) struct MshrSnap {
 
 impl MshrFile {
     pub(crate) fn snap_parts(&self) -> MshrSnap {
+        let mut outstanding: Vec<(u64, Cycle)> =
+            self.outstanding.iter().map(|(&k, &c)| (k, c)).collect();
+        outstanding.sort_unstable();
         MshrSnap {
             capacity: self.capacity,
-            outstanding: self.outstanding.clone(),
+            outstanding,
             peak_occupancy: self.peak_occupancy,
             total_allocations: self.total_allocations,
             total_merges: self.total_merges,
@@ -202,10 +245,12 @@ impl MshrFile {
     pub(crate) fn from_snap_parts(snap: MshrSnap) -> MshrFile {
         let mut file = MshrFile::new(snap.capacity.max(1));
         file.capacity = snap.capacity.max(1);
-        // Extend into the constructor's deliberately pre-sized map instead
-        // of replacing it, so a restored machine keeps the never-rehash-
+        // Extend into the constructor's deliberately pre-sized tables instead
+        // of replacing them, so a restored machine keeps the never-grow-
         // mid-run capacity guarantee the hot loop relies on.
         file.outstanding.extend(snap.outstanding);
+        file.completions.extend(file.outstanding.values().copied());
+        file.completions.sort_unstable();
         file.peak_occupancy = snap.peak_occupancy;
         file.total_allocations = snap.total_allocations;
         file.total_merges = snap.total_merges;
@@ -282,6 +327,60 @@ mod tests {
         }
         assert_eq!(m.outstanding_at(5), 1000);
         assert_eq!(m.peak_occupancy(), 1000);
+    }
+
+    /// The outstanding count and its next-change cycle agree with a brute
+    /// force scan of the entries at every probed cycle, across random miss
+    /// traffic with merges, full-file stalls and retirement.
+    #[test]
+    fn count_and_next_change_match_brute_force() {
+        for capacity in [1usize, 4, 16, usize::MAX] {
+            let mut m = MshrFile::new(capacity);
+            let mut rng = 0x2545_f491_4f6c_dd1du64;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut now = 0u64;
+            for _ in 0..4_000 {
+                now += next() % 7;
+                let line = (next() % 40) * 64;
+                if let MshrOutcome::Allocated { issue_cycle } = m.lookup_or_allocate(line, now) {
+                    m.record_completion(line, issue_cycle + 1 + next() % 300);
+                }
+                for probe in [now, now + next() % 50, now + next() % 400] {
+                    let live: Vec<Cycle> = m
+                        .outstanding
+                        .values()
+                        .copied()
+                        .filter(|&c| c > probe)
+                        .collect();
+                    assert_eq!(m.outstanding_at(probe), live.len());
+                    assert_eq!(m.next_change_after(probe), live.iter().copied().min());
+                }
+                let mut sorted: Vec<Cycle> = m.outstanding.values().copied().collect();
+                sorted.sort_unstable();
+                assert_eq!(m.completions, sorted, "completion index diverged");
+            }
+            assert!(m.allocations() > 0);
+        }
+    }
+
+    #[test]
+    fn next_change_is_the_next_completion() {
+        let mut m = MshrFile::new(4);
+        assert_eq!(m.next_change_after(0), None);
+        m.lookup_or_allocate(0x1000, 0);
+        m.record_completion(0x1000, 100);
+        m.lookup_or_allocate(0x2000, 0);
+        m.record_completion(0x2000, 40);
+        assert_eq!(m.next_change_after(0), Some(40));
+        assert_eq!(m.next_change_after(39), Some(40));
+        assert_eq!(m.next_change_after(40), Some(100));
+        assert_eq!(m.outstanding_at(40), 1);
+        assert_eq!(m.next_change_after(100), None);
     }
 
     #[test]

@@ -154,8 +154,12 @@ impl_codec!(crate::prefetcher::StrideSnap {
 impl Codec for HitMissPredictor {
     fn write(&self, w: &mut Writer) {
         let p = self.snap_parts();
-        p.history.write(w);
-        p.counters.write(w);
+        // The same bytes as the `Vec<u8>` codec (length, then each byte),
+        // in one bulk copy per table.
+        for table in [&p.history, &p.counters] {
+            w.varint(table.len() as u64);
+            w.bytes(table);
+        }
         p.predictions.write(w);
         p.correct.write(w);
     }

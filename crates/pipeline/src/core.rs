@@ -3,12 +3,19 @@
 //! [`Processor`] owns the machine substrate (`PipelineState`: the shared
 //! free lists, functional units and memory hierarchy plus one `ThreadState`
 //! — ROB, IQ, RAT, LQ/SQ, LTP unit — per hardware thread) and one
-//! [`StageBus`] per thread, and advances one cycle at a time by invoking the
-//! stage modules in back-to-front order (writeback → commit → release →
+//! [`StageBus`] per thread, and advances a cycle by invoking the stage
+//! modules in back-to-front order (writeback → commit → release →
 //! issue → rename; see [`crate::stages`]). The model is timing-only: values
 //! are never computed, only the dependence, resource and latency behaviour
 //! is simulated, which is the level of modelling the paper's analysis
 //! requires.
+//!
+//! A single-thread run spends host time on events, not cycles: whenever no
+//! stage can act on the next cycle (a memory-bound window stalled behind
+//! LLC misses), the run loop jumps to the first cycle at which one can and
+//! accounts for the skipped span in one step, cycle-exactly (see
+//! `Processor::drive` and the "Event-proportional cycle loop" section of
+//! `PERF.md`).
 //!
 //! With a single hardware thread (the default) the cycle loop is exactly the
 //! pre-SMT pipeline. Under SMT ([`PipelineConfig::smt`]) every stage runs
@@ -27,14 +34,13 @@ use crate::rat::Rat;
 use crate::result::{
     ActivityCounters, DeadlockSnapshot, OccupancyReport, RunError, RunResult, SmtRunResult,
 };
-use crate::rob::Rob;
+use crate::rob::{Rob, RobEntry};
 use crate::stages::{commit, issue, release, writeback, RenameStage, StageBus};
-use crate::state::{PipelineState, ThreadState};
+use crate::state::{PipelineState, RegSet, ThreadState};
 use crate::FuPool;
 use ltp_core::{CriticalityClassifier, LtpUnit, OracleClassifier};
-use ltp_isa::{DynInst, InstStream, ThreadId};
+use ltp_isa::{DynInst, InstStream, IntHashMap, ThreadId};
 use ltp_mem::{AccessKind, Cycle, MemoryHierarchy, MemoryRequest};
-use std::collections::{HashMap, HashSet};
 
 /// If no instruction commits for this many cycles the simulation aborts with
 /// a [`RunError::Deadlock`]: it indicates a resource-accounting deadlock.
@@ -69,6 +75,11 @@ impl RegFileSnapshot {
 /// after each simulated cycle: the stage-bus traffic of the cycle plus
 /// resource-accounting snapshots, enough to check structural invariants
 /// without exposing the mutable machine state.
+///
+/// The observer sees every simulated cycle exactly once, in order —
+/// including the quiescent cycles the run loop accounts for without
+/// stepping the stages. On such a cycle no stage acted, so the view shows an
+/// empty bus and the same accounting as the cycle before.
 #[derive(Debug)]
 pub struct CycleView<'a> {
     /// The cycle that just finished.
@@ -142,11 +153,15 @@ impl Processor {
                     lq: LoadQueue::new(per_thread_size(cfg.lq_size, &cfg)),
                     sq: StoreQueue::new(per_thread_size(cfg.sq_size, &cfg)),
                     memdep: MemDepPredictor::new(),
-                    inflight: HashMap::with_capacity(cfg.rob_size.min(1024) * 2),
-                    completed_regs: HashSet::with_capacity(
-                        (cfg.int_regs.min(1024) + cfg.fp_regs.min(1024)) * 2,
+                    // Slack beyond the configured files covers the recycled
+                    // architectural mappings, so the set never grows mid-run.
+                    completed_regs: RegSet::with_capacity(
+                        cfg.int_regs.min(1024).max(cfg.fp_regs.min(1024)) + 64,
                     ),
-                    released_parked_regs: HashMap::with_capacity(64),
+                    released_parked_regs: IntHashMap::with_capacity_and_hasher(
+                        64,
+                        Default::default(),
+                    ),
                     committed: 0,
                     loads_committed: 0,
                     stores_committed: 0,
@@ -279,12 +294,13 @@ impl Processor {
     ///
     /// Panics on an SMT-configured machine; use [`Processor::run_smt`] there.
     pub fn run<S: InstStream>(&mut self, stream: S, max_insts: u64) -> Result<RunResult, RunError> {
-        self.run_observed(stream, max_insts, |_| {})
+        self.run_single(stream, max_insts, None::<fn(&CycleView<'_>)>)
     }
 
     /// Like [`Processor::run`], but calls `observer` with a [`CycleView`]
-    /// after every simulated cycle. This is the hook the structural-invariant
-    /// test-suite uses to watch the stage bus and the resource accounting.
+    /// after every simulated cycle (quiescent cycles included, see
+    /// [`CycleView`]). This is the hook the structural-invariant test-suite
+    /// uses to watch the stage bus and the resource accounting.
     ///
     /// # Errors
     ///
@@ -298,7 +314,20 @@ impl Processor {
         &mut self,
         stream: S,
         max_insts: u64,
-        mut observer: F,
+        observer: F,
+    ) -> Result<RunResult, RunError>
+    where
+        S: InstStream,
+        F: FnMut(&CycleView<'_>),
+    {
+        self.run_single(stream, max_insts, Some(observer))
+    }
+
+    fn run_single<S, F>(
+        &mut self,
+        stream: S,
+        max_insts: u64,
+        observer: Option<F>,
     ) -> Result<RunResult, RunError>
     where
         S: InstStream,
@@ -309,50 +338,26 @@ impl Processor {
             1,
             "run/run_observed drive a single-threaded machine; use run_smt for SMT co-runs"
         );
-        // An oracle-configured machine must have had its analysed oracle (or
-        // a deliberate classifier override) attached; running on the built-in
-        // fallback would silently produce wrongly-labelled results.
-        if self.state.cfg.needs_oracle() && !self.state.thread.ltp.classifier_attached() {
-            return Err(RunError::OracleNotAttached);
-        }
+        self.check_oracle()?;
         let workload = stream.name().to_string();
-        let mut fes = [FrontEnd::new(
+        let mut fe = FrontEnd::new(
             stream,
             self.state.cfg.frontend_delay,
             self.state.cfg.mispredict_penalty,
-        )];
+        );
         let warmup = self.state.cfg.warmup_insts;
-        let mut warmup_done_at: Option<(Cycle, u64)> = None;
-
-        // NOTE: this loop is the canonical single-thread run loop. Two
-        // mirrors exist with different stop/measure conditions —
-        // `Processor::run_to_snapshot` (below) and `ResumedRun::run_inner`
-        // (snapshot.rs) — and must track any semantic change here; the
-        // restore-equivalence tests (`tests/snapshot.rs`) fail on drift.
-        while self.state.thread.committed < max_insts
-            && !(fes[0].is_drained() && self.state.thread.rob.is_empty())
-        {
-            self.cycle(&mut fes, u64::MAX);
-            observer(&CycleView {
-                cycle: self.state.now - 1,
-                bus: &self.buses[0],
-                int_regs: RegFileSnapshot::of(&self.state.int_free),
-                fp_regs: RegFileSnapshot::of(&self.state.fp_free),
-                rob_len: self.state.thread.rob.len(),
-                committed: self.state.thread.committed,
-            });
-            if warmup > 0 && warmup_done_at.is_none() && self.state.thread.committed >= warmup {
-                warmup_done_at = Some((self.state.now, self.state.thread.committed));
-            }
-            if let Some(err) = self.deadlock_check(&workload) {
-                return Err(err);
-            }
-        }
-
+        let measured = self.drive(
+            &mut fe,
+            &workload,
+            max_insts,
+            (warmup > 0).then_some(warmup),
+            None,
+            observer,
+        )?;
         Ok(self.assemble_result(
             workload,
-            warmup_done_at.unwrap_or((0, 0)),
-            fes[0].branch_predictor().misprediction_rate(),
+            measured.unwrap_or((0, 0)),
+            fe.branch_predictor().misprediction_rate(),
         ))
     }
 
@@ -379,40 +384,172 @@ impl Processor {
                 crate::SnapshotError::SmtUnsupported.to_string(),
             ));
         }
-        if self.state.cfg.needs_oracle() && !self.state.thread.ltp.classifier_attached() {
-            return Err(RunError::OracleNotAttached);
-        }
+        self.check_oracle()?;
         let workload = stream.name().to_string();
-        let mut fes = [FrontEnd::new(
+        let mut fe = FrontEnd::new(
             stream,
             self.state.cfg.frontend_delay,
             self.state.cfg.mispredict_penalty,
-        )];
+        );
         let warmup = self.state.cfg.warmup_insts;
-        let mut warmup_done_at: Option<(Cycle, u64)> = None;
-
-        while self.state.thread.committed < checkpoint_at
-            && !(fes[0].is_drained() && self.state.thread.rob.is_empty())
-        {
-            self.cycle(&mut fes, u64::MAX);
-            if warmup > 0 && warmup_done_at.is_none() && self.state.thread.committed >= warmup {
-                warmup_done_at = Some((self.state.now, self.state.thread.committed));
-            }
-            if let Some(err) = self.deadlock_check(&workload) {
-                return Err(err);
-            }
-        }
-
+        let measured = self.drive(
+            &mut fe,
+            &workload,
+            checkpoint_at,
+            (warmup > 0).then_some(warmup),
+            None,
+            None::<fn(&CycleView<'_>)>,
+        )?;
         crate::Snapshot::capture(
             self,
-            fes[0].export_state(),
+            fe.export_state(),
             self.renames[0].pending.clone(),
-            warmup_done_at,
+            measured,
         )
         .map_err(|e| RunError::SnapshotUnsupported(e.to_string()))
     }
 
-    /// Single-thread deadlock watchdog shared by every run loop.
+    /// An oracle-configured machine must have had its analysed oracle (or a
+    /// deliberate classifier override) attached; running on the built-in
+    /// fallback would silently produce wrongly-labelled results.
+    pub(crate) fn check_oracle(&self) -> Result<(), RunError> {
+        if self.state.cfg.needs_oracle() && !self.state.thread.ltp.classifier_attached() {
+            Err(RunError::OracleNotAttached)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The single-thread run loop behind [`Processor::run`],
+    /// [`Processor::run_observed`], [`Processor::run_to_snapshot`] and
+    /// [`crate::ResumedRun::run`]: steps the machine until `stop_at`
+    /// instructions have committed or the stream has drained, and returns
+    /// the `(cycle, committed)` at which the measured window opened — the
+    /// `measured` passed in, or the first cycle boundary at which the
+    /// committed count reached `measure_at`.
+    ///
+    /// Host time is proportional to events, not cycles: whenever no stage can
+    /// act on the current cycle, the loop accounts for every cycle up to the
+    /// earliest one at which a stage may act (see `quiet_until`) in one step
+    /// and resumes stepping there. The result is cycle-exact — the same
+    /// cycles, statistics and machine state as stepping every cycle. An idle
+    /// cycle writes only per-cycle latches (the LTP queue's port window, the
+    /// force-release latch, the wheels' drain point), and the first active
+    /// cycle after the span rewrites each of them exactly as the idle cycles
+    /// would have (see `PERF.md`).
+    pub(crate) fn drive<S, F>(
+        &mut self,
+        fe: &mut FrontEnd<S>,
+        workload: &str,
+        stop_at: u64,
+        measure_at: Option<u64>,
+        mut measured: Option<(Cycle, u64)>,
+        mut observer: Option<F>,
+    ) -> Result<Option<(Cycle, u64)>, RunError>
+    where
+        S: InstStream,
+        F: FnMut(&CycleView<'_>),
+    {
+        while self.state.thread.committed < stop_at
+            && !(fe.is_drained() && self.state.thread.rob.is_empty())
+        {
+            if let Some(wake) = self.quiet_until(fe) {
+                // Cycles `now..wake` are no-ops: account for them in one step
+                // (the watchdog may fire inside the span, as it would have).
+                self.skip_to(wake, &mut observer);
+                if let Some(err) = self.deadlock_check(workload) {
+                    return Err(err);
+                }
+            }
+            self.cycle(std::slice::from_mut(fe), u64::MAX);
+            if let Some(observe) = observer.as_mut() {
+                observe(&self.view(self.state.now - 1));
+            }
+            let committed = self.state.thread.committed;
+            if measured.is_none() && measure_at.is_some_and(|m| committed >= m) {
+                measured = Some((self.state.now, committed));
+            }
+            if let Some(err) = self.deadlock_check(workload) {
+                return Err(err);
+            }
+        }
+        Ok(measured)
+    }
+
+    /// If no stage can act on the current cycle, the first later cycle at
+    /// which one may; `None` when a stage may act now. "No stage can act"
+    /// means: the IQ has no ready entry (issue), the ROB head has not
+    /// completed (commit), rename is blocked, fetch cannot pull from the
+    /// stream, no delayed signal is due (writeback) and no LTP release is
+    /// possible. While that holds the machine state does not change, so it
+    /// keeps holding until a time-driven condition flips: a delayed signal
+    /// falls due, an instruction leaves the front-end pipe, a fetch redirect
+    /// ends, the forced-release timeout expires, or the deadlock watchdog
+    /// fires.
+    pub(crate) fn quiet_until<S: InstStream>(&self, fe: &FrontEnd<S>) -> Option<Cycle> {
+        let state = &self.state;
+        let t = state.t();
+        let now = state.now;
+        if t.iq.has_ready() || t.rob.head().is_some_and(RobEntry::is_completed) {
+            return None;
+        }
+        let rename = &self.renames[0];
+        if !rename.is_blocked(state, fe) {
+            return None;
+        }
+        let bus = &self.buses[0];
+        let rename_requests = rename.pending.is_some() && t.ltp.occupancy() > 0;
+        let wake = [
+            bus.next_signal(),
+            fe.next_ready().filter(|&ready| ready > now),
+            fe.next_fetch(now, state.cfg.front_width),
+            release::next_release(state, bus, rename_requests),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(t.last_commit_cycle + DEADLOCK_CYCLES, Cycle::min);
+        (wake > now).then_some(wake)
+    }
+
+    /// Accounts for the quiescent cycles `now..until` without running the
+    /// stages: records their occupancy in spans over which the
+    /// outstanding-miss count is constant, shows each cycle to the observer
+    /// with an empty bus, and moves the clock to `until`.
+    fn skip_to<F: FnMut(&CycleView<'_>)>(&mut self, until: Cycle, observer: &mut Option<F>) {
+        let from = self.state.now;
+        self.buses[0].begin_cycle();
+        let state = &mut self.state;
+        let mut k = from;
+        while k < until {
+            let end = state
+                .mem
+                .next_outstanding_change(k)
+                .map_or(until, |c| c.min(until));
+            let outstanding = state.mem.outstanding_misses(k) as u64;
+            state.sample_occupancy(end - k, outstanding);
+            k = end;
+        }
+        if let Some(observe) = observer.as_mut() {
+            for cycle in from..until {
+                observe(&self.view(cycle));
+            }
+        }
+        self.state.now = until;
+    }
+
+    /// The observer's view of thread 0 after `cycle`.
+    fn view(&self, cycle: Cycle) -> CycleView<'_> {
+        CycleView {
+            cycle,
+            bus: &self.buses[0],
+            int_regs: RegFileSnapshot::of(&self.state.int_free),
+            fp_regs: RegFileSnapshot::of(&self.state.fp_free),
+            rob_len: self.state.thread.rob.len(),
+            committed: self.state.thread.committed,
+        }
+    }
+
+    /// Single-thread deadlock watchdog of the run loop.
     pub(crate) fn deadlock_check(&self, workload: &str) -> Option<RunError> {
         if self.state.now - self.state.thread.last_commit_cycle >= DEADLOCK_CYCLES {
             Some(RunError::Deadlock {
@@ -663,7 +800,7 @@ impl Processor {
         let outstanding = state.mem.outstanding_misses(state.now) as u64;
         for &t in order {
             state.activate(t);
-            state.sample_occupancy(outstanding);
+            state.sample_occupancy(1, outstanding);
         }
         state.now += 1;
     }

@@ -75,7 +75,8 @@ impl<S: InstStream> FrontEnd<S> {
         if self.exhausted || now < self.redirect_until {
             return;
         }
-        // Keep the pipe from growing without bound when rename is stalled.
+        // Keep the pipe from growing without bound when rename is stalled
+        // (`next_fetch` mirrors this bound).
         let max_buffer = width * 4;
         for _ in 0..width {
             if self.pipe.len() >= max_buffer {
@@ -102,6 +103,25 @@ impl<S: InstStream> FrontEnd<S> {
                 break;
             }
         }
+    }
+
+    /// The first cycle, from `now` on, at which [`FrontEnd::fetch`] with
+    /// `width` would pull from the stream, or `None` while it cannot at all:
+    /// the stream has ended or the pipe is full (only rename drains it).
+    #[must_use]
+    pub(crate) fn next_fetch(&self, now: Cycle, width: usize) -> Option<Cycle> {
+        if self.exhausted || self.pipe.len() >= width * 4 {
+            None
+        } else {
+            Some(now.max(self.redirect_until))
+        }
+    }
+
+    /// The cycle at which the oldest instruction in the pipe becomes
+    /// available to rename, or `None` when the pipe is empty.
+    #[must_use]
+    pub(crate) fn next_ready(&self) -> Option<Cycle> {
+        self.pipe.front().map(|&(ready, _)| ready)
     }
 
     /// Pops the next instruction if it has traversed the front-end pipe by

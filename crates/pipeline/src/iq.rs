@@ -28,10 +28,11 @@
 //! to be zero — at that point no waiter list references it, so the index is
 //! self-cleaning and slots can be recycled freely.
 
+use crate::state::dense_reg;
 use inlinevec::InlineVec;
-use ltp_isa::{FuKind, PhysReg, SeqNum};
+use ltp_isa::{FuKind, IntHashMap, PhysReg, SeqNum};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Maximum inline wait-list / waiter-list length before spilling. Real
 /// instructions have at most three sources; fan-out beyond four consumers of
@@ -79,10 +80,11 @@ pub struct IssueQueue {
     pub(crate) slots: Vec<Slot>,
     pub(crate) free_slots: Vec<u32>,
     pub(crate) occupancy: usize,
-    /// Dense physical-register → waiting-slots index (see [`dense_reg`]).
+    /// Dense physical-register → waiting-slots index (see
+    /// [`crate::state::dense_reg`]).
     pub(crate) phys_waiters: Vec<InlineVec<u32, INLINE_WAITERS>>,
     /// Producer sequence number → waiting slots (parked producers only).
-    pub(crate) seq_waiters: HashMap<u64, InlineVec<u32, INLINE_WAITERS>>,
+    pub(crate) seq_waiters: IntHashMap<u64, InlineVec<u32, INLINE_WAITERS>>,
     /// Min-heap of `(seq, slot)` for entries whose counter reached zero.
     pub(crate) ready: BinaryHeap<Reverse<(u64, u32)>>,
     /// Reused by `select_into` for ready entries skipped by the FU check.
@@ -90,19 +92,6 @@ pub struct IssueQueue {
     pub(crate) peak: usize,
     pub(crate) dispatched: u64,
     pub(crate) issued: u64,
-}
-
-/// Maps a [`PhysReg`] to a dense index: integer registers occupy the even
-/// slots, floating point registers (offset by
-/// [`crate::state::FP_PHYS_OFFSET`] in the shared namespace) the odd ones.
-fn dense_reg(reg: PhysReg) -> usize {
-    let idx = reg.index();
-    let fp_offset = crate::state::FP_PHYS_OFFSET as usize;
-    if idx >= fp_offset {
-        ((idx - fp_offset) << 1) | 1
-    } else {
-        idx << 1
-    }
 }
 
 impl IssueQueue {
@@ -122,7 +111,7 @@ impl IssueQueue {
             free_slots: Vec::with_capacity(reserve),
             occupancy: 0,
             phys_waiters: Vec::with_capacity(512),
-            seq_waiters: HashMap::new(),
+            seq_waiters: IntHashMap::default(),
             ready: BinaryHeap::with_capacity(reserve),
             skipped: Vec::with_capacity(16),
             peak: 0,
@@ -141,6 +130,13 @@ impl IssueQueue {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.occupancy == 0
+    }
+
+    /// Whether some entry has all its operands and waits only for selection
+    /// (and a free functional unit).
+    #[must_use]
+    pub(crate) fn has_ready(&self) -> bool {
+        !self.ready.is_empty()
     }
 
     /// Whether another instruction can be dispatched into the IQ.
@@ -267,6 +263,11 @@ impl IssueQueue {
     /// Wakeup by producer sequence number (for consumers of parked
     /// instructions).
     pub fn wake_seq(&mut self, seq: SeqNum) {
+        // Every completion broadcasts here; waiting on a parked producer is
+        // rare, so skip the probe while nobody waits.
+        if self.seq_waiters.is_empty() {
+            return;
+        }
         let Some(waiters) = self.seq_waiters.remove(&seq.0) else {
             return;
         };

@@ -254,7 +254,7 @@ impl LoadQueue {
 /// Predicts which loads depend on (parked) stores, keyed by load PC (§5.3).
 #[derive(Debug, Clone, Default)]
 pub struct MemDepPredictor {
-    pub(crate) dependent_loads: std::collections::HashSet<u64>,
+    pub(crate) dependent_loads: ltp_isa::IntHashSet<u64>,
     pub(crate) hits: u64,
 }
 

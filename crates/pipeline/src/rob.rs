@@ -8,6 +8,7 @@
 //! long-latency instruction in the ROB are woken (§3.2, §5.2).
 
 use crate::rat::RegSource;
+use crate::state::InFlight;
 use ltp_isa::{ArchReg, OpClass, Pc, PhysReg, SeqNum};
 use ltp_mem::Cycle;
 use std::collections::VecDeque;
@@ -73,10 +74,18 @@ impl RobEntry {
 /// maintained incrementally by [`Rob::push`], [`Rob::mark_issued`],
 /// [`Rob::complete`] and [`Rob::try_commit`], so the per-cycle boundary query
 /// no longer scans the whole window.
+///
+/// Each slot also carries the instruction's in-flight metadata (the decoded
+/// instruction and its rename-time sources), which lives exactly as long as
+/// the ROB entry: the issue, release and commit stages read it by sequence
+/// number through the same O(1) slot arithmetic.
 #[derive(Debug, Clone)]
 pub struct Rob {
     pub(crate) capacity: usize,
     pub(crate) entries: VecDeque<RobEntry>,
+    /// In-flight metadata, parallel to `entries` (`None` only for entries
+    /// pushed through the public [`Rob::push`]).
+    pub(crate) inflight: VecDeque<Option<InFlight>>,
     /// Sequence numbers of incomplete long-latency entries, ascending.
     pub(crate) ll_incomplete: Vec<u64>,
 }
@@ -93,6 +102,7 @@ impl Rob {
         Rob {
             capacity,
             entries: VecDeque::with_capacity(capacity.min(1024)),
+            inflight: VecDeque::with_capacity(capacity.min(1024)),
             ll_incomplete: Vec::with_capacity(64),
         }
     }
@@ -100,7 +110,7 @@ impl Rob {
     /// Slot of the entry with sequence number `seq`, derived arithmetically
     /// from the dense sequence numbering (with a search fallback for
     /// synthetic non-dense test streams).
-    fn position_of(&self, seq: SeqNum) -> Option<usize> {
+    pub(crate) fn position_of(&self, seq: SeqNum) -> Option<usize> {
         let front = self.entries.front()?;
         let idx = seq.0.checked_sub(front.seq.0)? as usize;
         if let Some(e) = self.entries.get(idx) {
@@ -153,6 +163,15 @@ impl Rob {
     ///
     /// Panics if the ROB is full or the entry is out of program order.
     pub fn push(&mut self, entry: RobEntry) {
+        self.push_slot(entry, None);
+    }
+
+    /// Appends an entry together with its in-flight metadata.
+    pub(crate) fn push_inflight(&mut self, entry: RobEntry, inflight: InFlight) {
+        self.push_slot(entry, Some(inflight));
+    }
+
+    fn push_slot(&mut self, entry: RobEntry, inflight: Option<InFlight>) {
         assert!(self.has_space(), "pushing into a full ROB");
         if let Some(last) = self.entries.back() {
             assert!(
@@ -164,6 +183,7 @@ impl Rob {
             self.ll_insert(entry.seq);
         }
         self.entries.push_back(entry);
+        self.inflight.push_back(inflight);
     }
 
     /// The oldest entry, if any.
@@ -184,6 +204,12 @@ impl Rob {
 
     /// Pops the head if it has completed. Returns the committed entry.
     pub fn try_commit(&mut self) -> Option<RobEntry> {
+        self.try_commit_inflight().map(|(entry, _)| entry)
+    }
+
+    /// Like [`Rob::try_commit`], also handing back the entry's in-flight
+    /// metadata.
+    pub(crate) fn try_commit_inflight(&mut self) -> Option<(RobEntry, Option<InFlight>)> {
         if self
             .entries
             .front()
@@ -199,7 +225,8 @@ impl Rob {
                     self.ll_remove(e.seq);
                 }
             }
-            entry
+            let inflight = self.inflight.pop_front().flatten();
+            entry.map(|e| (e, inflight))
         } else {
             None
         }
@@ -241,6 +268,12 @@ impl Rob {
     pub fn get_mut(&mut self, seq: SeqNum) -> Option<&mut RobEntry> {
         let idx = self.position_of(seq)?;
         self.entries.get_mut(idx)
+    }
+
+    /// The in-flight metadata of the entry with sequence number `seq`.
+    pub(crate) fn inflight(&self, seq: SeqNum) -> Option<&InFlight> {
+        let idx = self.position_of(seq)?;
+        self.inflight.get(idx)?.as_ref()
     }
 
     /// Shared access to the entry with sequence number `seq`.

@@ -33,13 +33,14 @@ use crate::result::{ActivityCounters, OccupancyReport, RunError, RunResult};
 use crate::rob::{Rob, RobEntry, RobState};
 use crate::stages::rename::PendingDispatch;
 use crate::stages::StageBus;
-use crate::state::{InFlight, ThreadState};
+use crate::state::{InFlight, RegSet, ThreadState, FP_PHYS_OFFSET};
 use crate::Processor;
 use ltp_core::OracleClassifier;
 use ltp_isa::{InstStream, PhysReg, SeqNum};
 use ltp_mem::{Cycle, MemoryHierarchy};
 use ltp_snapshot::{impl_codec, Codec, Reader, SnapError, Writer};
 use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 // --- codec implementations for the remaining pipeline state -----------------
 
@@ -176,11 +177,28 @@ impl_codec!(RobEntry {
     was_parked,
     completion_cycle,
 });
-impl_codec!(Rob {
-    capacity,
-    entries,
-    ll_incomplete,
-});
+/// The ROB's own fields; the in-flight metadata of its slots travels in the
+/// thread's in-flight map (see `write_thread`).
+impl Codec for Rob {
+    fn write(&self, w: &mut Writer) {
+        self.capacity.write(w);
+        self.entries.write(w);
+        self.ll_incomplete.write(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let capacity = usize::read(r)?;
+        let entries = VecDeque::<RobEntry>::read(r)?;
+        let ll_incomplete = Vec::<u64>::read(r)?;
+        if capacity == 0 || entries.len() > capacity {
+            return Err(SnapError::Invalid("ROB occupancy"));
+        }
+        let mut rob = Rob::new(capacity);
+        rob.inflight.resize(entries.len(), None);
+        rob.entries.extend(entries);
+        rob.ll_incomplete = ll_incomplete;
+        Ok(rob)
+    }
+}
 
 impl_codec!(FreeList {
     capacity,
@@ -285,14 +303,28 @@ impl_codec!(FuPool {
     branch,
 });
 
-impl_codec!(crate::branch::BranchPredictor {
-    counters,
-    mask,
-    history,
-    history_bits,
-    predictions,
-    mispredictions,
-});
+impl Codec for crate::branch::BranchPredictor {
+    fn write(&self, w: &mut Writer) {
+        // The same bytes as the `Vec<u8>` codec, in one bulk copy.
+        w.varint(self.counters.len() as u64);
+        w.bytes(&self.counters);
+        self.mask.write(w);
+        self.history.write(w);
+        self.history_bits.write(w);
+        self.predictions.write(w);
+        self.mispredictions.write(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        Ok(crate::branch::BranchPredictor {
+            counters: Codec::read(r)?,
+            mask: Codec::read(r)?,
+            history: Codec::read(r)?,
+            history_bits: Codec::read(r)?,
+            predictions: Codec::read(r)?,
+            mispredictions: Codec::read(r)?,
+        })
+    }
+}
 
 impl_codec!(FrontEndState {
     pipe,
@@ -302,18 +334,41 @@ impl_codec!(FrontEndState {
     predictor,
 });
 
-impl_codec!(PendingDispatch {
-    inst,
-    src_phys,
-    src_seqs,
-    long_latency_hint,
-});
-
 impl_codec!(InFlight {
     inst,
     src_phys,
     src_seqs,
 });
+
+impl Codec for PendingDispatch {
+    fn write(&self, w: &mut Writer) {
+        self.inflight.write(w);
+        self.long_latency_hint.write(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        Ok(PendingDispatch {
+            inflight: InFlight::read(r)?,
+            long_latency_hint: bool::read(r)?,
+        })
+    }
+}
+
+impl Codec for RegSet {
+    /// The sorted register list the former `HashSet<PhysReg>` wrote.
+    fn write(&self, w: &mut Writer) {
+        self.to_sorted_vec().write(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let mut set = RegSet::default();
+        for reg in Vec::<PhysReg>::read(r)? {
+            if reg.index() >= 2 * FP_PHYS_OFFSET as usize {
+                return Err(SnapError::Invalid("physical register index"));
+            }
+            set.insert(reg);
+        }
+        Ok(set)
+    }
+}
 
 impl_codec!(OccupancyReport {
     iq,
@@ -336,30 +391,109 @@ impl_codec!(ActivityCounters {
     ltp_reads,
 });
 
-impl_codec!(ThreadState {
-    tid,
-    ltp,
-    rob,
-    iq,
-    rat,
-    lq,
-    sq,
-    memdep,
-    inflight,
-    completed_regs,
-    released_parked_regs,
-    committed,
-    loads_committed,
-    stores_committed,
-    llc_miss_loads,
-    last_commit_cycle,
-    occupancy,
-    activity,
-    int_regs_used,
-    fp_regs_used,
-    int_quota,
-    fp_quota,
-});
+/// Writes a thread's state. The layout is the one a derived codec over the
+/// former fields produced: an in-flight map (sorted by sequence number) sits
+/// between the memory-dependence predictor and the completed-register set.
+/// That map is now assembled from the ROB slots plus the rename skid
+/// buffer's instruction, which is in flight but not yet in the ROB.
+fn write_thread(t: &ThreadState, pending: Option<&PendingDispatch>, w: &mut Writer) {
+    t.tid.write(w);
+    t.ltp.write(w);
+    t.rob.write(w);
+    t.iq.write(w);
+    t.rat.write(w);
+    t.lq.write(w);
+    t.sq.write(w);
+    t.memdep.write(w);
+    let in_rob = t.rob.iter().zip(&t.rob.inflight);
+    let count = t.rob.len() + usize::from(pending.is_some());
+    w.varint(count as u64);
+    for (entry, inflight) in in_rob {
+        entry.seq.0.write(w);
+        inflight
+            .as_ref()
+            .expect("every instruction in a running machine's ROB is in flight")
+            .write(w);
+    }
+    if let Some(p) = pending {
+        p.inflight.inst.seq().0.write(w);
+        p.inflight.write(w);
+    }
+    t.completed_regs.write(w);
+    t.released_parked_regs.write(w);
+    t.committed.write(w);
+    t.loads_committed.write(w);
+    t.stores_committed.write(w);
+    t.llc_miss_loads.write(w);
+    t.last_commit_cycle.write(w);
+    t.occupancy.write(w);
+    t.activity.write(w);
+    t.int_regs_used.write(w);
+    t.fp_regs_used.write(w);
+    t.int_quota.write(w);
+    t.fp_quota.write(w);
+}
+
+/// Reads what [`write_thread`] wrote, filling the ROB slots' in-flight
+/// metadata from the map. Returns the sequence number of a map entry with
+/// no ROB slot — the skid buffer's instruction, which the caller checks
+/// against the decoded skid buffer.
+fn read_thread(r: &mut Reader<'_>) -> Result<(ThreadState, Option<u64>), SnapError> {
+    let tid = Codec::read(r)?;
+    let ltp = Codec::read(r)?;
+    let mut rob = Rob::read(r)?;
+    let iq = Codec::read(r)?;
+    let rat = Codec::read(r)?;
+    let lq = Codec::read(r)?;
+    let sq = Codec::read(r)?;
+    let memdep = Codec::read(r)?;
+    let n = usize::try_from(r.varint()?).map_err(|_| SnapError::VarintOverflow)?;
+    if n > r.remaining() {
+        return Err(SnapError::Truncated);
+    }
+    let mut outside_rob = None;
+    for _ in 0..n {
+        let seq = u64::read(r)?;
+        let inflight = InFlight::read(r)?;
+        if inflight.inst.seq().0 != seq {
+            return Err(SnapError::Invalid("in-flight key"));
+        }
+        match rob.position_of(SeqNum(seq)) {
+            Some(idx) if rob.inflight[idx].is_none() => rob.inflight[idx] = Some(inflight),
+            None if outside_rob.is_none() => outside_rob = Some(seq),
+            _ => return Err(SnapError::Invalid("in-flight map")),
+        }
+    }
+    if rob.inflight.iter().any(Option::is_none) {
+        return Err(SnapError::Invalid("ROB entry without in-flight metadata"));
+    }
+    Ok((
+        ThreadState {
+            tid,
+            ltp,
+            rob,
+            iq,
+            rat,
+            lq,
+            sq,
+            memdep,
+            completed_regs: Codec::read(r)?,
+            released_parked_regs: Codec::read(r)?,
+            committed: Codec::read(r)?,
+            loads_committed: Codec::read(r)?,
+            stores_committed: Codec::read(r)?,
+            llc_miss_loads: Codec::read(r)?,
+            last_commit_cycle: Codec::read(r)?,
+            occupancy: Codec::read(r)?,
+            activity: Codec::read(r)?,
+            int_regs_used: Codec::read(r)?,
+            fp_regs_used: Codec::read(r)?,
+            int_quota: Codec::read(r)?,
+            fp_quota: Codec::read(r)?,
+        },
+        outside_rob,
+    ))
+}
 
 // --- the snapshot itself ----------------------------------------------------
 
@@ -428,23 +562,35 @@ impl Codec for Snapshot {
         self.fu.write(w);
         self.int_free.write(w);
         self.fp_free.write(w);
-        self.thread.write(w);
+        write_thread(&self.thread, self.pending.as_ref(), w);
         self.bus.write(w);
         self.pending.write(w);
         self.frontend.write(w);
         self.stats_from.write(w);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let cfg = PipelineConfig::read(r)?;
+        let now = Cycle::read(r)?;
+        let mem = MemoryHierarchy::read(r)?;
+        let fu = FuPool::read(r)?;
+        let int_free = FreeList::read(r)?;
+        let fp_free = FreeList::read(r)?;
+        let (thread, outside_rob) = read_thread(r)?;
+        let bus = StageBus::read(r)?;
+        let pending: Option<PendingDispatch> = Codec::read(r)?;
+        if outside_rob != pending.as_ref().map(|p| p.inflight.inst.seq().0) {
+            return Err(SnapError::Invalid("skid buffer vs in-flight map"));
+        }
         Ok(Snapshot {
-            cfg: PipelineConfig::read(r)?,
-            now: Cycle::read(r)?,
-            mem: MemoryHierarchy::read(r)?,
-            fu: FuPool::read(r)?,
-            int_free: FreeList::read(r)?,
-            fp_free: FreeList::read(r)?,
-            thread: ThreadState::read(r)?,
-            bus: StageBus::read(r)?,
-            pending: Codec::read(r)?,
+            cfg,
+            now,
+            mem,
+            fu,
+            int_free,
+            fp_free,
+            thread,
+            bus,
+            pending,
             frontend: FrontEndState::read(r)?,
             stats_from: Codec::read(r)?,
         })
@@ -613,53 +759,37 @@ impl ResumedRun {
         max_insts: u64,
         measure_from: Option<u64>,
     ) -> Result<RunResult, RunError> {
-        if self.cpu.state.cfg.needs_oracle() && !self.cpu.state.thread.ltp.classifier_attached() {
-            return Err(RunError::OracleNotAttached);
-        }
+        self.cpu.check_oracle()?;
         let workload = stream.name().to_string();
         let cfg = self.cpu.state.cfg;
-        let mut fes = [FrontEnd::from_state(
+        let mut fe = FrontEnd::from_state(
             stream,
             self.frontend,
             cfg.frontend_delay,
             cfg.mispredict_penalty,
-        )];
-        let warmup = self.cpu.state.cfg.warmup_insts;
-        let mut warmup_done_at = match measure_from {
+        );
+        let (now, committed) = (self.cpu.state.now, self.cpu.state.thread.committed);
+        let (measure_at, measured) = match measure_from {
             // Explicit measurement boundary: may already have been crossed.
-            Some(m) if self.cpu.state.thread.committed >= m => {
-                Some((self.cpu.state.now, self.cpu.state.thread.committed))
-            }
-            Some(_) => None,
-            None => self.stats_from,
+            Some(m) if committed >= m => (Some(m), Some((now, committed))),
+            Some(m) => (Some(m), None),
+            None => (
+                (cfg.warmup_insts > 0).then_some(cfg.warmup_insts),
+                self.stats_from,
+            ),
         };
-
-        // The loop below mirrors `Processor::run_observed` exactly (minus the
-        // observer); both drive `Processor::cycle`, so a resumed machine
-        // continues cycle-for-cycle where the captured one stopped.
-        while self.cpu.state.thread.committed < max_insts
-            && !(fes[0].is_drained() && self.cpu.state.thread.rob.is_empty())
-        {
-            self.cpu.cycle(&mut fes, u64::MAX);
-            let committed = self.cpu.state.thread.committed;
-            if warmup_done_at.is_none() {
-                let crossed = match measure_from {
-                    Some(m) => committed >= m,
-                    None => warmup > 0 && committed >= warmup,
-                };
-                if crossed {
-                    warmup_done_at = Some((self.cpu.state.now, committed));
-                }
-            }
-            if let Some(err) = self.cpu.deadlock_check(&workload) {
-                return Err(err);
-            }
-        }
-
+        let measured = self.cpu.drive(
+            &mut fe,
+            &workload,
+            max_insts,
+            measure_at,
+            measured,
+            None::<fn(&crate::CycleView<'_>)>,
+        )?;
         Ok(self.cpu.assemble_result(
             workload,
-            warmup_done_at.unwrap_or((0, 0)),
-            fes[0].branch_predictor().misprediction_rate(),
+            measured.unwrap_or((0, 0)),
+            fe.branch_predictor().misprediction_rate(),
         ))
     }
 }

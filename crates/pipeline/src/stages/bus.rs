@@ -129,6 +129,16 @@ impl StageBus {
         self.ll_signals.pop_due(now).map(SeqNum)
     }
 
+    /// The cycle of the earliest pending delayed signal (completion or early
+    /// long-latency signal), or `None` when none is in flight: the first
+    /// cycle at which the writeback stage has anything to do.
+    pub(crate) fn next_signal(&self) -> Option<Cycle> {
+        match (self.completions.next_event(), self.ll_signals.next_event()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// Raises the force-release latch (rename stalled on resources while the
     /// LTP holds instructions); the release stage sees it next cycle.
     pub(crate) fn request_force_release(&mut self) {

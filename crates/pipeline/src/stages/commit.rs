@@ -17,7 +17,7 @@ use ltp_mem::{AccessKind, MemoryRequest};
 pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) -> usize {
     let mut committed = 0;
     for _ in 0..budget {
-        let Some(entry) = state.tm().rob.try_commit() else {
+        let Some((entry, inflight)) = state.tm().rob.try_commit_inflight() else {
             break;
         };
         committed += 1;
@@ -54,12 +54,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) 
         }
         if entry.holds_sq {
             // The store performs its write as it drains from the SQ.
-            if let Some(access) = state
-                .t()
-                .inflight
-                .get(&entry.seq.0)
-                .and_then(|infl| infl.inst.mem_access())
-            {
+            if let Some(access) = inflight.as_ref().and_then(|infl| infl.inst.mem_access()) {
                 let req = MemoryRequest::new(entry.pc, access.addr(), AccessKind::Store);
                 let now = state.now;
                 let _ = state.mem.access(now, &req);
@@ -82,7 +77,6 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) 
             op: entry.op,
             was_parked: entry.was_parked,
         });
-        t.inflight.remove(&entry.seq.0);
     }
     committed
 }

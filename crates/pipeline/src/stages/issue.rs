@@ -45,8 +45,8 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus, budget: usize) 
         let (inst, n_srcs) = {
             let infl = state
                 .t()
-                .inflight
-                .get(&seq.0)
+                .rob
+                .inflight(seq)
                 .expect("issued instruction must be in flight");
             (infl.inst, infl.inst.static_inst().dataflow_srcs().count())
         };

@@ -21,6 +21,66 @@ use crate::stages::StageBus;
 use crate::state::PipelineState;
 use ltp_core::ParkedInst;
 use ltp_isa::RegClass;
+use ltp_mem::Cycle;
+
+/// Cycles without a commit after which the release stage forces the oldest
+/// parked instruction out even when rename did not ask for it.
+const FORCE_AFTER_IDLE: Cycle = 64;
+
+/// Out-of-order releases are never the ROB head, so they must always leave
+/// the last register of each class (and, with delayed allocation, the last
+/// LQ/SQ entry) untouched.
+fn out_of_order_blocked(state: &PipelineState) -> bool {
+    !state.iq_has_space()
+        || state.regs_available(RegClass::Int) <= 1
+        || state.regs_available(RegClass::Fp) <= 1
+        || (state.cfg.delay_lsq_alloc && (!state.lq_has_space() || !state.sq_has_space()))
+}
+
+/// The first cycle, from `state.now` on, at which [`run`] would release an
+/// instruction if no other stage changes the machine meanwhile; `None` when
+/// it never would. `rename_requests` says whether the rename stage raises
+/// the force-release latch on every such cycle (a stalled skid buffer while
+/// instructions are parked). Reads state only; the release stage's only
+/// time-dependent input is the no-commit timeout of the forced path.
+pub(crate) fn next_release(
+    state: &PipelineState,
+    bus: &StageBus,
+    rename_requests: bool,
+) -> Option<Cycle> {
+    let now = state.now;
+    let t = state.t();
+    let oldest = t.ltp.oldest_parked()?;
+    let entry = t.rob.get(oldest);
+    let boundary = t.rob.nu_wake_boundary();
+    if oldest.is_older_than(boundary)
+        && entry.is_some_and(|e| state.can_place_released(e))
+        && t.ltp.in_order_release_ready(boundary)
+    {
+        return Some(now);
+    }
+    if t.ltp.config().mode.parks_non_ready()
+        && t.ltp.has_ready_urgent()
+        && !out_of_order_blocked(state)
+    {
+        return Some(now);
+    }
+    if !(state.iq_bypass_has_room() && entry.is_some_and(|e| state.can_force_release(e))) {
+        return None;
+    }
+    if bus.force_release_pending() {
+        return Some(now);
+    }
+    // The forced path is armed: it fires on the next cycle if rename raises
+    // the latch now, else once the no-commit timeout expires.
+    let timeout = t.last_commit_cycle + FORCE_AFTER_IDLE + 1;
+    let fires = if rename_requests {
+        timeout.min(now + 1)
+    } else {
+        timeout
+    };
+    Some(fires.max(now))
+}
 
 /// Runs the release stage of the active thread for one cycle.
 pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus) {
@@ -50,13 +110,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus) {
     // (only meaningful when Non-Ready parking is enabled, appendix A).
     if state.t().ltp.config().mode.parks_non_ready() {
         loop {
-            // Out-of-order releases are never the ROB head, so they must
-            // always leave the last register of each class untouched.
-            if !state.iq_has_space()
-                || state.regs_available(RegClass::Int) <= 1
-                || state.regs_available(RegClass::Fp) <= 1
-                || (state.cfg.delay_lsq_alloc && (!state.lq_has_space() || !state.sq_has_space()))
-            {
+            if out_of_order_blocked(state) {
                 break;
             }
             let now = state.now;
@@ -73,7 +127,7 @@ pub(crate) fn run(state: &mut PipelineState, bus: &mut StageBus) {
     // progress, force the oldest parked instruction out (through the
     // reserved bypass) so it can eventually commit and free resources.
     let force_requested = bus.take_force_release();
-    let stalled_long = state.now.saturating_sub(state.t().last_commit_cycle) > 64;
+    let stalled_long = state.now.saturating_sub(state.t().last_commit_cycle) > FORCE_AFTER_IDLE;
     let bypass_has_room = state.iq_bypass_has_room();
     if (force_requested || stalled_long)
         && !released_any
@@ -105,8 +159,8 @@ fn place_released(state: &mut PipelineState, bus: &mut StageBus, parked: ParkedI
     let (src_phys, src_seqs, op) = {
         let infl = state
             .t()
-            .inflight
-            .get(&seq.0)
+            .rob
+            .inflight(seq)
             .expect("released instruction must be in flight");
         (infl.src_phys.clone(), infl.src_seqs.clone(), infl.inst.op())
     };
@@ -150,7 +204,7 @@ fn place_released(state: &mut PipelineState, bus: &mut StageBus, parked: ParkedI
     let wait_phys = src_phys
         .iter()
         .copied()
-        .filter(|p| !state.t().completed_regs.contains(p))
+        .filter(|&p| !state.t().completed_regs.contains(p))
         .collect();
     let wait_seqs = src_seqs
         .iter()

@@ -21,17 +21,14 @@ use crate::rat::RegSource;
 use crate::rob::{RobEntry, RobState};
 use crate::stages::StageBus;
 use crate::state::{InFlight, PipelineState};
-use inlinevec::InlineVec;
 use ltp_core::RenamedInst;
-use ltp_isa::{DynInst, InstStream, PhysReg, RegClass, SeqNum};
+use ltp_isa::{DynInst, InstStream, OpClass, RegClass};
 
 /// A dispatch that passed classification but could not be placed yet because
 /// the IQ, register file or LQ/SQ was full; retried the next cycle.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingDispatch {
-    pub(crate) inst: DynInst,
-    pub(crate) src_phys: InlineVec<PhysReg, 4>,
-    pub(crate) src_seqs: InlineVec<SeqNum, 2>,
+    pub(crate) inflight: InFlight,
     pub(crate) long_latency_hint: bool,
 }
 
@@ -57,21 +54,15 @@ impl RenameStage {
         // First, retry a dispatch that was classified earlier but could not
         // be placed for lack of resources.
         if let Some(pending) = self.pending.take() {
-            if try_place_dispatch(
-                state,
-                &pending.inst,
-                pending.src_phys.clone(),
-                pending.src_seqs.clone(),
-                pending.long_latency_hint,
-            ) {
-                renamed += 1;
-            } else {
+            if dispatch_blocked(state, &pending.inflight.inst) {
                 if state.t().ltp.occupancy() > 0 {
                     bus.request_force_release();
                 }
                 self.pending = Some(pending);
                 return renamed;
             }
+            place_dispatch(state, pending.inflight, pending.long_latency_hint);
+            renamed += 1;
         }
 
         while renamed < budget {
@@ -81,18 +72,8 @@ impl RenameStage {
             let Some(peek) = fe.peek_ready(state.now) else {
                 break;
             };
-            let op = peek.op();
-
-            // Resources every instruction needs regardless of parking: a ROB
-            // entry (checked) and, unless LQ/SQ allocation is delayed, an
-            // LQ/SQ entry for memory operations.
-            if !state.cfg.delay_lsq_alloc {
-                if op.is_load() && !state.lq_has_space() {
-                    break;
-                }
-                if op.is_store() && !state.sq_has_space() {
-                    break;
-                }
+            if lsq_blocks_rename(state, peek.op()) {
+                break;
             }
 
             let inst = fe.pop_ready(state.now).expect("peeked instruction exists");
@@ -104,53 +85,72 @@ impl RenameStage {
             let (src_phys, src_seqs) = state.resolve_sources(&inst);
 
             let mem_dep_parked =
-                op.is_load() && state.tm().memdep.predicts_parked_dependence(inst.pc());
+                inst.op().is_load() && state.tm().memdep.predicts_parked_dependence(inst.pc());
             let rinst = RenamedInst::from_dyn(&inst).with_mem_dep_parked(mem_dep_parked);
             let now = state.now;
             let decision = state.tm().ltp.at_rename(&rinst, now);
-
-            state.tm().inflight.insert(
-                inst.seq().0,
-                InFlight {
-                    inst,
-                    src_phys: src_phys.clone(),
-                    src_seqs: src_seqs.clone(),
-                },
-            );
+            let inflight = InFlight {
+                inst,
+                src_phys,
+                src_seqs,
+            };
 
             if decision.parked() {
-                park_instruction(state, &inst, decision.long_latency_hint);
+                park_instruction(state, inflight, decision.long_latency_hint);
                 state.tm().activity.ltp_writes += 1;
-                renamed += 1;
-            } else if try_place_dispatch(
-                state,
-                &inst,
-                src_phys.clone(),
-                src_seqs.clone(),
-                decision.long_latency_hint,
-            ) {
-                renamed += 1;
-            } else {
+            } else if dispatch_blocked(state, &inflight.inst) {
                 // Could not place: remember it and stall rename.
                 if state.t().ltp.occupancy() > 0 {
                     bus.request_force_release();
                 }
                 self.pending = Some(PendingDispatch {
-                    inst,
-                    src_phys,
-                    src_seqs,
+                    inflight,
                     long_latency_hint: decision.long_latency_hint,
                 });
                 break;
+            } else {
+                place_dispatch(state, inflight, decision.long_latency_hint);
             }
+            renamed += 1;
         }
         renamed
     }
+
+    /// Whether running this stage at the current cycle would rename nothing
+    /// and change no state other than re-raising the force-release latch:
+    /// the skid-buffered instruction still cannot be placed, or (with the
+    /// buffer empty) the ROB is full, no instruction has left the front-end
+    /// pipe yet, or the next one needs an LQ/SQ entry that is not free.
+    pub(crate) fn is_blocked<S: InstStream>(
+        &self,
+        state: &PipelineState,
+        fe: &FrontEnd<S>,
+    ) -> bool {
+        if let Some(pending) = &self.pending {
+            return dispatch_blocked(state, &pending.inflight.inst);
+        }
+        if !state.rob_has_space() {
+            return true;
+        }
+        match fe.peek_ready(state.now) {
+            Some(next) => lsq_blocks_rename(state, next.op()),
+            None => true,
+        }
+    }
+}
+
+/// Resources every instruction needs regardless of parking: a ROB entry
+/// (checked by the caller) and, unless LQ/SQ allocation is delayed, an
+/// LQ/SQ entry for memory operations.
+fn lsq_blocks_rename(state: &PipelineState, op: OpClass) -> bool {
+    !state.cfg.delay_lsq_alloc
+        && ((op.is_load() && !state.lq_has_space()) || (op.is_store() && !state.sq_has_space()))
 }
 
 /// Allocates the ROB (and, unless delayed, LQ/SQ) entry for a parked
 /// instruction and records it in the RAT as a parked producer.
-fn park_instruction(state: &mut PipelineState, inst: &DynInst, long_latency_hint: bool) {
+fn park_instruction(state: &mut PipelineState, inflight: InFlight, long_latency_hint: bool) {
+    let inst = &inflight.inst;
     let seq = inst.seq();
     let op = inst.op();
     let dst = inst.static_inst().dst().filter(|d| !d.is_zero());
@@ -173,7 +173,7 @@ fn park_instruction(state: &mut PipelineState, inst: &DynInst, long_latency_hint
         }
     }
 
-    state.tm().rob.push(RobEntry {
+    let entry = RobEntry {
         seq,
         pc: inst.pc(),
         op,
@@ -186,25 +186,17 @@ fn park_instruction(state: &mut PipelineState, inst: &DynInst, long_latency_hint
         holds_sq,
         was_parked: true,
         completion_cycle: 0,
-    });
+    };
+    state.tm().rob.push_inflight(entry, inflight);
 }
 
-/// Attempts to dispatch an instruction to the IQ, allocating its
-/// destination register and LQ/SQ entry. Returns `false` when a resource
-/// is unavailable (rename must stall).
-fn try_place_dispatch(
-    state: &mut PipelineState,
-    inst: &DynInst,
-    src_phys: InlineVec<PhysReg, 4>,
-    src_seqs: InlineVec<SeqNum, 2>,
-    long_latency_hint: bool,
-) -> bool {
+/// Whether dispatching `inst` to the IQ must wait: the IQ is full, or its
+/// destination register or (with delayed allocation) LQ/SQ entry would eat
+/// into the reserve kept for instructions leaving the LTP. Reads state only.
+fn dispatch_blocked(state: &PipelineState, inst: &DynInst) -> bool {
     let op = inst.op();
-    let seq = inst.seq();
-    let dst = inst.static_inst().dst().filter(|d| !d.is_zero());
-
     if !state.iq_has_space() {
-        return false;
+        return true;
     }
     // Reserve a few entries of commit-freed resources for instructions
     // leaving the LTP (§5.4). The reserve is clamped so that very small
@@ -215,30 +207,31 @@ fn try_place_dispatch(
     } else {
         0
     };
-    if let Some(d) = dst {
+    if let Some(d) = inst.static_inst().dst().filter(|d| !d.is_zero()) {
         let regs = match d.class() {
             RegClass::Int => state.cfg.int_regs,
             RegClass::Fp => state.cfg.fp_regs,
         };
         let reserve = base_reserve.min(regs / 4);
         if !state.can_alloc_beyond_reserve(d.class(), reserve) {
-            return false;
+            return true;
         }
     }
-    if state.cfg.delay_lsq_alloc {
-        if op.is_load()
-            && !state.lq_has_space_beyond_reserve(base_reserve.min(state.cfg.lq_size / 4))
-        {
-            return false;
-        }
-        if op.is_store()
-            && !state.sq_has_space_beyond_reserve(base_reserve.min(state.cfg.sq_size / 4))
-        {
-            return false;
-        }
-    }
+    state.cfg.delay_lsq_alloc
+        && ((op.is_load()
+            && !state.lq_has_space_beyond_reserve(base_reserve.min(state.cfg.lq_size / 4)))
+            || (op.is_store()
+                && !state.sq_has_space_beyond_reserve(base_reserve.min(state.cfg.sq_size / 4))))
+}
 
-    // All resources available: allocate.
+/// Dispatches an instruction to the IQ, allocating its destination register
+/// and LQ/SQ entry; the caller has checked [`dispatch_blocked`].
+fn place_dispatch(state: &mut PipelineState, inflight: InFlight, long_latency_hint: bool) {
+    let inst = &inflight.inst;
+    let op = inst.op();
+    let seq = inst.seq();
+    let dst = inst.static_inst().dst().filter(|d| !d.is_zero());
+
     let mut dest_phys = None;
     let prev_mapping = match dst {
         Some(d) => {
@@ -262,7 +255,19 @@ fn try_place_dispatch(
         holds_sq = true;
     }
 
-    state.tm().rob.push(RobEntry {
+    let wait_phys = inflight
+        .src_phys
+        .iter()
+        .copied()
+        .filter(|&p| !state.t().completed_regs.contains(p))
+        .collect();
+    let wait_seqs = inflight
+        .src_seqs
+        .iter()
+        .copied()
+        .filter(|s| !state.is_seq_done(*s))
+        .collect();
+    let entry = RobEntry {
         seq,
         pc: inst.pc(),
         op,
@@ -275,24 +280,14 @@ fn try_place_dispatch(
         holds_sq,
         was_parked: false,
         completion_cycle: 0,
-    });
-
-    let wait_phys = src_phys
-        .iter()
-        .copied()
-        .filter(|p| !state.t().completed_regs.contains(p))
-        .collect();
-    let wait_seqs = src_seqs
-        .iter()
-        .copied()
-        .filter(|s| !state.is_seq_done(*s))
-        .collect();
+    };
+    let fu = op.fu_kind();
+    state.tm().rob.push_inflight(entry, inflight);
     state.tm().iq.dispatch(IqEntry {
         seq,
-        fu: op.fu_kind(),
+        fu,
         wait_phys,
         wait_seqs,
     });
     state.tm().activity.iq_writes += 1;
-    true
 }

@@ -23,6 +23,10 @@ pub struct TimingWheel {
     /// Power-of-two slot array; slot `c & mask` holds events for cycle `c`
     /// (and, transiently, for `c + k·len` until those migrate on advance).
     slots: Vec<Vec<(Cycle, u64)>>,
+    /// One bit per slot, set while the slot holds events, so
+    /// [`TimingWheel::next_event`] finds the next occupied slot a word at a
+    /// time.
+    occupied: Vec<u64>,
     mask: u64,
     /// Every event with `cycle <= drained_through` has been moved to
     /// `staging` (or already popped).
@@ -53,6 +57,7 @@ impl TimingWheel {
             slots: (0..size)
                 .map(|_| Vec::with_capacity(slot_capacity))
                 .collect(),
+            occupied: vec![0; (size as usize).div_ceil(64)],
             mask: size - 1,
             drained_through: 0,
             staging: Vec::with_capacity(slot_capacity * 4),
@@ -82,11 +87,57 @@ impl TimingWheel {
             self.staging.push((cycle, payload));
             self.staging_sorted = false;
         } else if cycle - self.drained_through <= self.mask {
-            self.slots[(cycle & self.mask) as usize].push((cycle, payload));
+            self.push_slot(cycle, payload);
         } else {
             self.far.push((cycle, payload));
             self.far_min = self.far_min.min(cycle);
         }
+    }
+
+    fn push_slot(&mut self, cycle: Cycle, payload: u64) {
+        let slot = (cycle & self.mask) as usize;
+        self.slots[slot].push((cycle, payload));
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// The first occupied slot at or after `start` in circular order.
+    fn first_occupied_from(&self, start: usize) -> Option<usize> {
+        let (w0, b0) = (start / 64, start % 64);
+        let words = self.occupied.len();
+        // The start word's high part, the words after it, then the wrapped
+        // words up to and including the start word's low part.
+        let tail = (w0..words).map(|w| (w, if w == w0 { !0u64 << b0 } else { !0 }));
+        let head = (0..=w0).map(|w| (w, if w == w0 { (1u64 << b0) - 1 } else { !0 }));
+        tail.chain(head).find_map(|(w, keep)| {
+            let bits = self.occupied[w] & keep;
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })
+    }
+
+    /// The cycle of the earliest scheduled event, or `None` when the wheel is
+    /// empty. An event scheduled in the past reports its original cycle, so
+    /// `next_event() <= now` exactly when [`TimingWheel::pop_due`] would
+    /// return something at `now`.
+    ///
+    /// Staged events are due (`cycle <= drained_through`); slot events lie in
+    /// `drained_through + 1 ..= drained_through + mask`, one cycle per slot;
+    /// far events lie beyond that. So the answer is the staged minimum, else
+    /// the first occupied slot in cycle order, else the far minimum.
+    pub fn next_event(&self) -> Option<Cycle> {
+        if self.len == 0 {
+            return None;
+        }
+        if let Some(due) = self.staging.iter().map(|&(c, _)| c).min() {
+            return Some(due);
+        }
+        let start = ((self.drained_through + 1) & self.mask) as usize;
+        if let Some(slot) = self.first_occupied_from(start) {
+            let cycle = self.slots[slot][0].0;
+            debug_assert!(self.slots[slot].iter().all(|e| e.0 == cycle));
+            return Some(cycle);
+        }
+        debug_assert!(self.far_min != Cycle::MAX, "events left but none found");
+        Some(self.far_min)
     }
 
     /// Pops the next event due at or before `now`, in `(cycle, payload)`
@@ -120,9 +171,11 @@ impl TimingWheel {
                     self.staging_sorted = false;
                 }
             }
+            self.occupied.fill(0);
         } else {
             for c in (self.drained_through + 1)..=now {
-                let slot = &mut self.slots[(c & self.mask) as usize];
+                let index = (c & self.mask) as usize;
+                let slot = &mut self.slots[index];
                 let mut i = 0;
                 while i < slot.len() {
                     if slot[i].0 <= now {
@@ -131,6 +184,9 @@ impl TimingWheel {
                     } else {
                         i += 1;
                     }
+                }
+                if slot.is_empty() {
+                    self.occupied[index / 64] &= !(1 << (index % 64));
                 }
             }
         }
@@ -146,7 +202,7 @@ impl TimingWheel {
                         self.staging.push((cycle, payload));
                         self.staging_sorted = false;
                     } else {
-                        self.slots[(cycle & self.mask) as usize].push((cycle, payload));
+                        self.push_slot(cycle, payload);
                     }
                 } else {
                     min = min.min(cycle);
@@ -281,6 +337,46 @@ mod tests {
         assert_eq!(w.pop_due(jump + 3_000_000), Some(2));
         assert_eq!(w.pop_due(jump + 3_000_000), Some(3));
         assert_eq!(w.len(), 0);
+    }
+
+    /// `next_event` equals the minimum of a shadow list of pending events
+    /// under random scheduling (near, far, in the past) and random advances,
+    /// including jumps beyond the horizon.
+    #[test]
+    fn next_event_matches_brute_force() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for horizon in [4u64, 16, 64] {
+            let mut w = TimingWheel::new(horizon);
+            let mut shadow: Vec<(Cycle, u64)> = Vec::new();
+            let mut now = 0u64;
+            for payload in 0..3_000u64 {
+                let delay = match next() % 10 {
+                    0 => 0,
+                    1 => horizon * 3 + next() % 500,
+                    _ => next() % horizon,
+                };
+                let cycle = (now + delay).saturating_sub(next() % 2);
+                w.schedule(cycle, payload);
+                shadow.push((cycle, payload));
+                assert_eq!(w.next_event(), shadow.iter().map(|e| e.0).min());
+                now += match next() % 20 {
+                    0 => horizon * 4 + next() % 300,
+                    n => n % 3,
+                };
+                while let Some(p) = w.pop_due(now) {
+                    let at = shadow.iter().position(|e| e.1 == p).expect("known event");
+                    assert!(shadow.swap_remove(at).0 <= now);
+                }
+                assert!(shadow.iter().all(|e| e.0 > now), "a due event was kept");
+                assert_eq!(w.next_event(), shadow.iter().map(|e| e.0).min());
+            }
+        }
     }
 
     #[test]

@@ -41,15 +41,87 @@ use crate::rob::{Rob, RobEntry};
 use crate::FuPool;
 use inlinevec::InlineVec;
 use ltp_core::LtpUnit;
-use ltp_isa::{DynInst, PhysReg, RegClass, SeqNum, ThreadId};
+use ltp_isa::{DynInst, IntHashMap, PhysReg, RegClass, SeqNum, ThreadId};
 use ltp_mem::{Cycle, MemoryHierarchy};
-use std::collections::{HashMap, HashSet};
 
 /// Offset separating floating point physical register indices from integer
 /// ones, so both free lists can share the dense [`PhysReg`] namespace.
 pub(crate) const FP_PHYS_OFFSET: u32 = 1 << 20;
 
-/// Per-instruction in-flight metadata not stored in the ROB.
+/// Maps a [`PhysReg`] to a dense index: integer registers occupy the even
+/// slots, floating point registers (offset by [`FP_PHYS_OFFSET`] in the
+/// shared namespace) the odd ones.
+pub(crate) fn dense_reg(reg: PhysReg) -> usize {
+    let idx = reg.index();
+    let fp_offset = FP_PHYS_OFFSET as usize;
+    if idx >= fp_offset {
+        ((idx - fp_offset) << 1) | 1
+    } else {
+        idx << 1
+    }
+}
+
+/// A set of physical registers, one bit per [`dense_reg`] index, so the
+/// per-source "already produced?" test at rename and release is a bit test.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RegSet {
+    words: Vec<u64>,
+}
+
+impl RegSet {
+    /// An empty set pre-sized for `regs` registers of each class, so the
+    /// steady-state loop never grows it.
+    pub(crate) fn with_capacity(regs: usize) -> RegSet {
+        RegSet {
+            words: vec![0; (2 * regs).div_ceil(64)],
+        }
+    }
+
+    pub(crate) fn insert(&mut self, reg: PhysReg) {
+        let i = dense_reg(reg);
+        if i / 64 >= self.words.len() {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    pub(crate) fn remove(&mut self, reg: PhysReg) {
+        let i = dense_reg(reg);
+        if let Some(word) = self.words.get_mut(i / 64) {
+            *word &= !(1 << (i % 64));
+        }
+    }
+
+    pub(crate) fn contains(&self, reg: PhysReg) -> bool {
+        let i = dense_reg(reg);
+        self.words
+            .get(i / 64)
+            .is_some_and(|word| word & (1 << (i % 64)) != 0)
+    }
+
+    /// The members in ascending [`PhysReg`] order (integer registers first).
+    pub(crate) fn to_sorted_vec(&self) -> Vec<PhysReg> {
+        let mut regs: Vec<PhysReg> = Vec::new();
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let index = if i & 1 == 1 {
+                    (i >> 1) as u32 + FP_PHYS_OFFSET
+                } else {
+                    (i >> 1) as u32
+                };
+                regs.push(PhysReg::new(index));
+            }
+        }
+        regs.sort_unstable();
+        regs
+    }
+}
+
+/// Per-instruction in-flight metadata, kept in the instruction's ROB slot
+/// (or in the rename skid buffer while it waits to be placed).
 #[derive(Debug, Clone)]
 pub(crate) struct InFlight {
     pub(crate) inst: DynInst,
@@ -74,9 +146,8 @@ pub(crate) struct ThreadState {
     pub(crate) lq: LoadQueue,
     pub(crate) sq: StoreQueue,
     pub(crate) memdep: MemDepPredictor,
-    pub(crate) inflight: HashMap<u64, InFlight>,
-    pub(crate) completed_regs: HashSet<PhysReg>,
-    pub(crate) released_parked_regs: HashMap<u64, PhysReg>,
+    pub(crate) completed_regs: RegSet,
+    pub(crate) released_parked_regs: IntHashMap<u64, PhysReg>,
     pub(crate) committed: u64,
     pub(crate) loads_committed: u64,
     pub(crate) stores_committed: u64,
@@ -363,7 +434,7 @@ impl PipelineState {
     }
 
     pub(crate) fn free_dest(&mut self, reg: PhysReg) {
-        self.tm().completed_regs.remove(&reg);
+        self.tm().completed_regs.remove(reg);
         if (reg.index() as u32) >= FP_PHYS_OFFSET {
             self.fp_free
                 .free(PhysReg::new(reg.index() as u32 - FP_PHYS_OFFSET));
@@ -415,7 +486,7 @@ impl PipelineState {
             match t.rat.source(src) {
                 RegSource::Ready => {}
                 RegSource::Phys(p) => {
-                    if !t.completed_regs.contains(&p) {
+                    if !t.completed_regs.contains(p) {
                         phys.push(p);
                     }
                 }
@@ -508,24 +579,26 @@ impl PipelineState {
         self.release_lsq_available(entry)
     }
 
-    // --- per-cycle sampling -------------------------------------------------
+    // --- occupancy sampling -------------------------------------------------
 
-    /// Samples the active thread's occupancy trackers. `outstanding` is the
-    /// shared hierarchy's outstanding-miss count, computed once per cycle by
-    /// the caller so an SMT cycle does not query the MSHRs per thread.
-    pub(crate) fn sample_occupancy(&mut self, outstanding: u64) {
+    /// Records the active thread's occupancy for `cycles` consecutive cycles
+    /// over which it does not change (one cycle, or a skipped quiescent
+    /// span). `outstanding` is the shared hierarchy's outstanding-miss count,
+    /// computed once by the caller so an SMT cycle does not query the MSHRs
+    /// per thread.
+    pub(crate) fn sample_occupancy(&mut self, cycles: u64, outstanding: u64) {
         let t = self.tm();
         let occ = &mut t.occupancy;
-        occ.iq.sample_cycle(t.iq.len() as u64);
-        occ.rob.sample_cycle(t.rob.len() as u64);
-        occ.lq.sample_cycle(t.lq.len() as u64);
-        occ.sq.sample_cycle(t.sq.len() as u64);
+        occ.iq.sample(cycles, t.iq.len() as u64);
+        occ.rob.sample(cycles, t.rob.len() as u64);
+        occ.lq.sample(cycles, t.lq.len() as u64);
+        occ.sq.sample(cycles, t.sq.len() as u64);
         occ.regs
-            .sample_cycle((t.int_regs_used + t.fp_regs_used) as u64);
-        occ.ltp.sample_cycle(t.ltp.occupancy() as u64);
-        occ.ltp_regs.sample_cycle(t.ltp.parked_writers() as u64);
-        occ.ltp_loads.sample_cycle(t.ltp.parked_loads() as u64);
-        occ.ltp_stores.sample_cycle(t.ltp.parked_stores() as u64);
-        occ.outstanding_misses.sample_cycle(outstanding);
+            .sample(cycles, (t.int_regs_used + t.fp_regs_used) as u64);
+        occ.ltp.sample(cycles, t.ltp.occupancy() as u64);
+        occ.ltp_regs.sample(cycles, t.ltp.parked_writers() as u64);
+        occ.ltp_loads.sample(cycles, t.ltp.parked_loads() as u64);
+        occ.ltp_stores.sample(cycles, t.ltp.parked_stores() as u64);
+        occ.outstanding_misses.sample(cycles, outstanding);
     }
 }

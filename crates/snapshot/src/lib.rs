@@ -129,11 +129,13 @@ impl Writer {
     }
 
     /// Appends one raw byte.
+    #[inline]
     pub fn byte(&mut self, b: u8) {
         self.buf.push(b);
     }
 
     /// Appends raw bytes verbatim.
+    #[inline]
     pub fn bytes(&mut self, bs: &[u8]) {
         self.buf.extend_from_slice(bs);
     }
@@ -144,6 +146,7 @@ impl Writer {
     /// dominate), so the two layouts are split: the single-byte case — the
     /// majority — is one `push`, and multi-byte values encode into a stack
     /// buffer first so the vector grows once instead of byte-by-byte.
+    #[inline]
     pub fn varint(&mut self, mut v: u64) {
         if v < 0x80 {
             self.buf.push(v as u8);
@@ -235,6 +238,7 @@ pub trait Codec: Sized {
 // --- primitives -------------------------------------------------------------
 
 impl Codec for bool {
+    #[inline]
     fn write(&self, w: &mut Writer) {
         w.byte(u8::from(*self));
     }
@@ -248,6 +252,7 @@ impl Codec for bool {
 }
 
 impl Codec for u8 {
+    #[inline]
     fn write(&self, w: &mut Writer) {
         w.byte(*self);
     }
@@ -259,6 +264,7 @@ impl Codec for u8 {
 macro_rules! impl_codec_varint {
     ($($ty:ty),+) => {$(
         impl Codec for $ty {
+            #[inline]
             fn write(&self, w: &mut Writer) {
                 w.varint(*self as u64);
             }
@@ -272,6 +278,7 @@ macro_rules! impl_codec_varint {
 impl_codec_varint!(u16, u32, u64);
 
 impl Codec for usize {
+    #[inline]
     fn write(&self, w: &mut Writer) {
         w.varint(*self as u64);
     }
@@ -443,7 +450,12 @@ impl<T: Codec + Copy + Default, const N: usize> Codec for inlinevec::InlineVec<T
 // order is unspecified, so the sort both makes the bytes deterministic and is
 // safe exactly when the simulator never depends on that order (which the
 // golden-fingerprint restore tests verify end to end).
-impl<K: Codec + Ord + Copy + std::hash::Hash + Eq, V: Codec> Codec for HashMap<K, V> {
+impl<K, V, S> Codec for HashMap<K, V, S>
+where
+    K: Codec + Ord + Copy + std::hash::Hash + Eq,
+    V: Codec,
+    S: std::hash::BuildHasher + Default,
+{
     fn write(&self, w: &mut Writer) {
         let mut keys: Vec<K> = self.keys().copied().collect();
         keys.sort_unstable();
@@ -458,7 +470,7 @@ impl<K: Codec + Ord + Copy + std::hash::Hash + Eq, V: Codec> Codec for HashMap<K
         if n > r.remaining() {
             return Err(SnapError::Truncated);
         }
-        let mut out = HashMap::with_capacity(n.max(64));
+        let mut out = HashMap::with_capacity_and_hasher(n.max(64), S::default());
         for _ in 0..n {
             let k = K::read(r)?;
             let v = V::read(r)?;
@@ -468,7 +480,11 @@ impl<K: Codec + Ord + Copy + std::hash::Hash + Eq, V: Codec> Codec for HashMap<K
     }
 }
 
-impl<K: Codec + Ord + Copy + std::hash::Hash + Eq> Codec for HashSet<K> {
+impl<K, S> Codec for HashSet<K, S>
+where
+    K: Codec + Ord + Copy + std::hash::Hash + Eq,
+    S: std::hash::BuildHasher + Default,
+{
     fn write(&self, w: &mut Writer) {
         let mut keys: Vec<K> = self.iter().copied().collect();
         keys.sort_unstable();

@@ -23,6 +23,7 @@ impl OccupancyTracker {
 
     /// Records that the structure held `occupancy` entries for `cycles`
     /// consecutive cycles.
+    #[inline]
     pub fn sample(&mut self, cycles: u64, occupancy: u64) {
         self.weighted_sum += u128::from(cycles) * u128::from(occupancy);
         self.cycles += cycles;
@@ -32,6 +33,7 @@ impl OccupancyTracker {
     }
 
     /// Records a single-cycle sample.
+    #[inline]
     pub fn sample_cycle(&mut self, occupancy: u64) {
         self.sample(1, occupancy);
     }

@@ -8,29 +8,52 @@
 //! state (capacities grown, tables warm) every subsequent cycle must
 //! allocate nothing.
 //!
-//! The trace and configuration are fixed, so the test is deterministic; a
-//! failure means a per-cycle allocation crept back into the IQ, stage-bus,
-//! release or commit path.
+//! The observer sees every simulated cycle, including the quiescent ones the
+//! run loop accounts for in one step, so the audit also covers that skip
+//! path and the dense per-instruction tables (ROB-slot in-flight metadata,
+//! the completed-register bitset, the MSHR completion index).
+//!
+//! Allocations are counted per thread, so the two audits below can run in
+//! parallel (the default test harness) without seeing each other. The trace
+//! and configuration are fixed, so the test is deterministic; a failure
+//! means a per-cycle allocation crept back into the IQ, stage-bus, release,
+//! commit or skip path.
 
 use ltp_pipeline::{PipelineConfig, Processor};
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
-use std::sync::atomic::Ordering;
 
 // The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
 // otherwise denies unsafe code, so the exemption is scoped to this shim.
 #[allow(unsafe_code)]
 mod counting {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    /// Number of allocation (and reallocation) calls observed.
-    pub static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        /// Allocation (and reallocation) calls made by the current thread.
+        /// Per thread, so the audits running in parallel (and the test
+        /// harness's own threads) never count each other's allocations.
+        /// A `const` initialiser with no destructor: the allocator may run
+        /// on any thread at any time, so touching the counter must never
+        /// itself allocate.
+        static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn bump() {
+        // `try_with` fails only while the thread is being torn down.
+        let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    }
+
+    /// Allocation calls made so far by the calling thread.
+    pub fn calls() -> u64 {
+        ALLOC_CALLS.with(Cell::get)
+    }
 
     pub struct CountingAlloc;
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            bump();
             unsafe { System.alloc(layout) }
         }
 
@@ -39,12 +62,12 @@ mod counting {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            bump();
             unsafe { System.realloc(ptr, layout, new_size) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            bump();
             unsafe { System.alloc_zeroed(layout) }
         }
     }
@@ -53,8 +76,10 @@ mod counting {
 #[global_allocator]
 static ALLOCATOR: counting::CountingAlloc = counting::CountingAlloc;
 
+/// Allocation calls made so far by the calling (auditing) thread, which is
+/// the thread that runs the simulation.
 fn alloc_calls() -> u64 {
-    counting::ALLOC_CALLS.load(Ordering::Relaxed)
+    counting::calls()
 }
 
 /// Runs `kind` on `cfg` and returns `(steady_cycles, allocating_cycles)`
