@@ -27,17 +27,20 @@
 //!   including the trace *content* fingerprint and the snapshot format
 //!   version. There is no invalidation protocol — a changed input is a
 //!   different key.
-//! * **Corruption is a miss.** Entries are wrapped in the journal's
-//!   checksummed framing ([`ltp_snapshot::frame_record`]); a bit flip, a
-//!   short read, or a length-lying header all fail the frame or codec
-//!   check, and the entry is deleted and regenerated. The cache never
-//!   returns bytes it could not fully validate.
+//! * **Corruption is a miss.** Entries are wrapped in one checksummed frame
+//!   ([`ltp_snapshot::frame_record`]); a bit flip, a short read, or a
+//!   length-lying header all fail the frame or codec check, and the entry
+//!   is deleted and regenerated. The cache never returns bytes it could not
+//!   fully validate.
 //! * **LRU byte budget.** Each store evicts least-recently-*used* entries
 //!   (file mtime, refreshed on hit) until the directory fits the budget.
 //!   Whole entries are evicted — a partial entry is not a thing.
 //! * **Atomic publish.** Entries are written to a temp file and renamed
 //!   into place, so concurrent writers of the same key race benignly and a
 //!   torn write is never visible under the final name.
+//!
+//! Run journals ([`crate::journal`]) reuse the envelope and the publish,
+//! addressed by path rather than by content key.
 
 use ltp_mem::MemoryHierarchy;
 use ltp_pipeline::{FunctionalWarmState, WarmupConfig};
@@ -217,14 +220,8 @@ impl CheckpointCache {
     /// byte budget. Best-effort: storage failures are swallowed — a cache
     /// that cannot write behaves like a cache that always misses.
     fn store_raw(&self, key: u64, payload: &[u8]) {
-        let entry = encode_entry(payload, key);
         let path = self.entry_path(key);
-        let tmp = self
-            .dir
-            .join(format!(".{key:016x}.{}.tmp", std::process::id()));
-        let published = fs::write(&tmp, &entry).is_ok() && fs::rename(&tmp, &path).is_ok();
-        if !published {
-            let _ = fs::remove_file(&tmp);
+        if publish(&path, &encode_entry(payload, key)).is_err() {
             return;
         }
         self.stores.fetch_add(1, Ordering::Relaxed);
@@ -325,8 +322,9 @@ impl CheckpointCache {
 /// Wraps a payload in the on-disk entry envelope: one checksummed frame
 /// whose payload is `(CACHE_VERSION, key, payload bytes)`. The embedded key
 /// rejects a validly framed entry that was renamed (or hash-collided) into
-/// the wrong slot.
-fn encode_entry(payload: &[u8], key: u64) -> Vec<u8> {
+/// the wrong slot. Cache entries and run journals ([`crate::journal`]) share
+/// this envelope.
+pub(crate) fn encode_entry(payload: &[u8], key: u64) -> Vec<u8> {
     let mut w = Writer::with_capacity(payload.len() + 32);
     CACHE_VERSION.write(&mut w);
     key.write(&mut w);
@@ -336,7 +334,7 @@ fn encode_entry(payload: &[u8], key: u64) -> Vec<u8> {
 }
 
 /// Validates the frame + envelope, returning the inner payload.
-fn validate_entry(bytes: &[u8], key: u64) -> Option<Vec<u8>> {
+pub(crate) fn validate_entry(bytes: &[u8], key: u64) -> Option<Vec<u8>> {
     let mut records = RecordIter::new(bytes);
     let payload = match records.next() {
         Some(Ok(p)) => p,
@@ -361,13 +359,36 @@ fn validate_entry(bytes: &[u8], key: u64) -> Option<Vec<u8>> {
 }
 
 /// Decodes a typed payload, demanding every byte is consumed.
-fn decode_payload<T: Codec>(payload: &[u8]) -> Result<T, SnapError> {
+pub(crate) fn decode_payload<T: Codec>(payload: &[u8]) -> Result<T, SnapError> {
     let mut r = Reader::new(payload);
     let value = T::read(&mut r)?;
     if r.remaining() != 0 {
         return Err(SnapError::TrailingBytes(r.remaining()));
     }
     Ok(value)
+}
+
+/// Atomic publish: writes `bytes` to a temp file beside `path`, then renames
+/// it into place, so concurrent writers of one path race benignly and a torn
+/// write is never visible under the final name. A failed write removes its
+/// temp file; one left by a killed process is inert — nothing reads it, and
+/// the next publish from the same process id overwrites it. There is no
+/// fsync: a file a power failure loses or tears fails validation and is a
+/// miss that recomputes, never a wrong result.
+pub(crate) fn publish(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = temp_path(path);
+    let published = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+    if published.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    published
+}
+
+/// The temp file [`publish`] stages `path` in: hidden, in the same directory
+/// (so the rename cannot cross filesystems), tagged with the process id.
+fn temp_path(path: &Path) -> PathBuf {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    path.with_file_name(format!(".{name}.{}.tmp", std::process::id()))
 }
 
 // --- keys --------------------------------------------------------------------
@@ -585,6 +606,43 @@ mod tests {
         assert!(cache.load_warm_mem(key).is_some());
         let s = cache.stats();
         assert_eq!(s.corrupt, 4, "each corruption class counted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interrupted_journal_write_leaves_previous_journal_readable() {
+        use crate::journal::{read_journal, write_journal, JournalEntry, JournalHeader};
+        let dir = tmp_dir("interrupted");
+        let spec = crate::sampled::SampleSpec {
+            total_insts: 24_000,
+            intervals: 4,
+            detail_warm: 500,
+            detail_measure: 1_000,
+            seed: 7,
+            warm_insts: 2_000,
+        };
+        let cfg = PipelineConfig::ltp_proposed();
+        let header = JournalHeader::for_run(&spec, "indirect_stream", "IQ:32", &cfg);
+        let path = dir.join("point.journal");
+        let previous = JournalEntry {
+            checkpoint_bytes: 1_234,
+            records: Vec::new(),
+        };
+        write_journal(&path, &header, &previous).expect("first write");
+        // A process killed mid-publish leaves a half-written temp file
+        // beside the journal; the journal itself must be untouched.
+        let entry = encode_entry(&encode_value(&previous), header.key());
+        let tmp = temp_path(&path);
+        fs::write(&tmp, &entry[..entry.len() / 2]).expect("torn temp file");
+        assert_eq!(read_journal(&path, &header), Some(previous));
+        // The next write goes through the same temp file and replaces both.
+        let next = JournalEntry {
+            checkpoint_bytes: 5_678,
+            records: Vec::new(),
+        };
+        write_journal(&path, &header, &next).expect("second write");
+        assert_eq!(read_journal(&path, &header), Some(next));
+        assert!(!tmp.exists(), "the rename consumed the temp file");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The fault-tolerance layer ([`crate::parallel::stream_map_lpt_ft`]) is only
 //! trustworthy if its failure paths are exercised on purpose: a [`FaultPlan`]
-//! injects worker panics, deadline-busting delays and journal-record
-//! corruption at *chosen* `(interval index, attempt number)` coordinates, so
+//! injects worker panics and deadline-busting delays at *chosen*
+//! `(interval index, attempt number)` coordinates, so
 //! every test (and the CI canary) drives exactly the failure it claims to
 //! cover and the run is reproducible down to which attempt dies.
 //!
@@ -22,9 +22,6 @@ pub struct FaultPlan {
     /// `(interval, attempt, millis)`: delay the attempt by `millis` before
     /// simulating (used to bust per-attempt deadlines).
     delays: Vec<(usize, u32, u64)>,
-    /// Journal record indices whose on-disk bytes are corrupted after the
-    /// run (exercises the checksum recovery on resume).
-    corrupt: Vec<usize>,
 }
 
 impl FaultPlan {
@@ -37,7 +34,7 @@ impl FaultPlan {
     /// Whether the plan injects nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.panics.is_empty() && self.delays.is_empty() && self.corrupt.is_empty()
+        self.panics.is_empty() && self.delays.is_empty()
     }
 
     /// Panics attempt `attempt` of interval `index`.
@@ -53,26 +50,6 @@ impl FaultPlan {
     pub fn delay_at(mut self, index: usize, attempt: u32, millis: u64) -> FaultPlan {
         self.delays.push((index, attempt, millis));
         self
-    }
-
-    /// Corrupts the journal record at position `index` (completion order)
-    /// after the run writes it.
-    #[must_use]
-    pub fn corrupt_record(mut self, index: usize) -> FaultPlan {
-        self.corrupt.push(index);
-        self
-    }
-
-    /// Whether the journal record at position `index` should be corrupted.
-    #[must_use]
-    pub fn corrupts(&self, index: usize) -> bool {
-        self.corrupt.contains(&index)
-    }
-
-    /// Journal record positions the plan corrupts.
-    #[must_use]
-    pub fn corrupted_records(&self) -> &[usize] {
-        &self.corrupt
     }
 
     /// Runs the faults scheduled for `(index, attempt)`: sleeps through any
@@ -99,8 +76,8 @@ impl FaultPlan {
     }
 
     /// Parses a plan from its command-line form: comma-separated directives
-    /// `panic@IDX.ATT`, `delay@IDX.ATT=MS` and `corrupt@IDX`, e.g.
-    /// `panic@3.0,delay@1.0=80,corrupt@2`. An empty string is the empty plan.
+    /// `panic@IDX.ATT` and `delay@IDX.ATT=MS`, e.g. `panic@3.0,delay@1.0=80`.
+    /// An empty string is the empty plan.
     ///
     /// # Errors
     ///
@@ -125,12 +102,6 @@ impl FaultPlan {
                         .parse()
                         .map_err(|_| format!("bad delay milliseconds in `{part}`"))?;
                     plan = plan.delay_at(idx, att, ms);
-                }
-                "corrupt" => {
-                    let idx: usize = coord
-                        .parse()
-                        .map_err(|_| format!("bad record index in `{part}`"))?;
-                    plan = plan.corrupt_record(idx);
                 }
                 other => return Err(format!("unknown fault kind `{other}` in `{part}`")),
             }
@@ -180,16 +151,8 @@ mod tests {
 
     #[test]
     fn parse_round_trips_every_directive() {
-        let plan = FaultPlan::parse("panic@3.0, delay@1.2=80 ,corrupt@2").expect("valid spec");
-        assert_eq!(
-            plan,
-            FaultPlan::new()
-                .panic_at(3, 0)
-                .delay_at(1, 2, 80)
-                .corrupt_record(2)
-        );
-        assert!(plan.corrupts(2));
-        assert!(!plan.corrupts(3));
+        let plan = FaultPlan::parse("panic@3.0, delay@1.2=80 ").expect("valid spec");
+        assert_eq!(plan, FaultPlan::new().panic_at(3, 0).delay_at(1, 2, 80));
         assert_eq!(FaultPlan::parse("").expect("empty"), FaultPlan::new());
     }
 
@@ -202,9 +165,13 @@ mod tests {
             "delay@1.0",
             "delay@1.0=ms",
             "corrupt@x",
+            "corrupt@2",
             "explode@1.0",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should not parse");
         }
+        // Journals carry no record positions to corrupt any more.
+        let err = FaultPlan::parse("corrupt@2").expect_err("corrupt@ is gone");
+        assert!(err.contains("unknown fault kind `corrupt`"), "{err}");
     }
 }

@@ -1,40 +1,37 @@
 //! On-disk run journal for resumable sampled simulation.
 //!
-//! Each sampled point (one workload × one configuration) appends every
-//! completed interval — its measurement *and* its checkpoint bytes — to an
-//! append-only journal file as it finishes. A later `--resume` run replays
-//! the completed intervals straight from the journal and re-simulates only
-//! the missing ones; per-interval measurements are deterministic, so the
-//! resumed aggregate is bit-identical to an uninterrupted run.
+//! Each sampled point (one workload × one configuration) records the
+//! measurement of every completed interval in a journal file at a path the
+//! caller names. A later `--resume` run replays the completed intervals from
+//! the journal and re-simulates only the missing ones; per-interval
+//! measurements are deterministic, so the resumed aggregate is bit-identical
+//! to an uninterrupted run.
 //!
 //! ## Format
 //!
-//! A journal is a sequence of [`ltp_snapshot::frame_record`] frames (varint
-//! payload length + payload + FNV-1a-64 checksum). The first frame is a
-//! [`JournalHeader`] — version, run shape, and a checksum of the pipeline
-//! configuration — and every later frame is one [`JournalRecord`] in
-//! *completion* order (workers finish out of trace order). The loader
-//! verifies the header against the run being resumed and stops at the first
-//! damaged frame: a crash mid-append or a corrupted record costs only the
-//! records from that point on, which the resumed run simply re-simulates.
+//! A journal is one checkpoint-cache entry ([`crate::cache`]'s envelope: a
+//! single checksummed frame holding the entry version, the key and the
+//! payload), keyed by the FNV-1a of the run's [`JournalHeader`] and written
+//! atomically — temp file, then rename — once the point's interval stream
+//! has ended. The payload is a [`JournalEntry`]: the measurements only,
+//! never machine state. A damaged, truncated, foreign (another run's header,
+//! hence another key) or old-format file does not validate and is a miss:
+//! the resumed run simply re-simulates every interval.
 
+use crate::cache::{decode_payload, encode_entry, publish, validate_entry};
 use crate::sampled::SampleSpec;
 use ltp_pipeline::PipelineConfig;
-use ltp_snapshot::{
-    encode_value, finish_frame, fnv1a64, frame_record, impl_codec, Codec, Reader, RecordIter,
-    SnapError, Writer,
-};
-use std::io::Write as _;
+use ltp_snapshot::{encode_value, fnv1a64, impl_codec};
 use std::path::{Path, PathBuf};
 
 /// Version tag of the journal format; bumped on any layout change so stale
-/// journals are ignored rather than misread.
-pub const JOURNAL_VERSION: u64 = 1;
+/// journals are ignored rather than misread (it is part of the entry key).
+pub const JOURNAL_VERSION: u64 = 2;
 
-/// The journal's first record: identifies the run a journal belongs to. A
-/// resume only trusts a journal whose header matches the resumed run field
-/// for field — including an FNV-1a checksum of the full pipeline
-/// configuration, so two configurations sharing a label cannot cross-feed.
+/// Identifies the run a journal belongs to. A resume only trusts a journal
+/// written for a header equal to the resumed run's field for field —
+/// including an FNV-1a checksum of the full pipeline configuration, so two
+/// configurations sharing a label cannot cross-feed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalHeader {
     /// Format version ([`JOURNAL_VERSION`]).
@@ -94,12 +91,16 @@ impl JournalHeader {
             warm_insts: spec.warm_insts,
         }
     }
+
+    /// The entry key of this run's journal: FNV-1a of the encoded header.
+    #[must_use]
+    pub fn key(&self) -> u64 {
+        fnv1a64(&encode_value(self))
+    }
 }
 
-/// One completed interval: its measurement plus the encoded checkpoint it
-/// was simulated from (kept so a damaged run can be audited or re-verified
-/// without redoing the functional pass).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One completed interval's measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalRecord {
     /// Interval index in trace order.
     pub index: u64,
@@ -111,39 +112,33 @@ pub struct JournalRecord {
     pub instructions: u64,
     /// Measured cycles.
     pub cycles: u64,
-    /// The interval's encoded [`ltp_pipeline::Snapshot`].
-    pub snapshot: Vec<u8>,
 }
 
-// Hand-written (not `impl_codec!`): the snapshot bytes go through
-// `Writer::bytes`/`Reader::bytes` as one bulk copy. The generic `Vec<u8>`
-// codec has the same byte layout (varint length + raw bytes) but moves one
-// byte per call, which dominated the journal drain at ~40 kB per record.
-impl Codec for JournalRecord {
-    fn write(&self, w: &mut Writer) {
-        self.index.write(w);
-        self.start.write(w);
-        self.weight.write(w);
-        self.instructions.write(w);
-        self.cycles.write(w);
-        w.varint(self.snapshot.len() as u64);
-        w.bytes(&self.snapshot);
-    }
+impl_codec!(JournalRecord {
+    index,
+    start,
+    weight,
+    instructions,
+    cycles,
+});
 
-    fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(JournalRecord {
-            index: u64::read(r)?,
-            start: u64::read(r)?,
-            weight: u64::read(r)?,
-            instructions: u64::read(r)?,
-            cycles: u64::read(r)?,
-            snapshot: {
-                let n = usize::try_from(r.varint()?).map_err(|_| SnapError::VarintOverflow)?;
-                r.bytes(n)?.to_vec()
-            },
-        })
-    }
+/// A journal's payload: every completed interval, in index order, plus the
+/// run's reported checkpoint size, so a fully replayed run reports the same
+/// [`crate::sampled::SampledResult::checkpoint_bytes`] without capturing a
+/// checkpoint.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JournalEntry {
+    /// Encoded size of the run's first checkpoint in bytes (0 if the run
+    /// never captured it).
+    pub checkpoint_bytes: u64,
+    /// Completed intervals, strictly increasing by index.
+    pub records: Vec<JournalRecord>,
 }
+
+impl_codec!(JournalEntry {
+    checkpoint_bytes,
+    records,
+});
 
 /// Journal file path for one sampled point inside `dir`; non-path characters
 /// in the configuration label are flattened to `_`.
@@ -156,191 +151,39 @@ pub fn journal_path(dir: &Path, workload: &str, config_label: &str) -> PathBuf {
     dir.join(format!("{workload}__{sane}.journal"))
 }
 
-/// Appends framed records to a journal file as intervals complete.
-#[derive(Debug)]
-pub struct JournalWriter {
-    file: std::fs::File,
-}
-
-impl JournalWriter {
-    /// Creates (truncating) the journal at `path` and writes its header.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating or writing the file.
-    pub fn create(path: &Path, header: &JournalHeader) -> std::io::Result<JournalWriter> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(&frame_record(&encode_value(header)))?;
-        Ok(JournalWriter { file })
-    }
-
-    /// Appends one completed interval. Each record is a single `write_all`
-    /// of a fully framed buffer, so a crash between appends never leaves a
-    /// half-framed prefix (a crash *during* one can, which the loader drops).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error writing the record.
-    pub fn append(&mut self, record: &JournalRecord) -> std::io::Result<()> {
-        // A record's payload length is computable up front (varint widths
-        // are value-determined), so the record encodes straight into its
-        // frame — one buffer, no copy of the multi-kilobyte snapshot after
-        // the encode. This runs on the drain, the run's serial tail.
-        let len = varint_len(record.index)
-            + varint_len(record.start)
-            + varint_len(record.weight)
-            + varint_len(record.instructions)
-            + varint_len(record.cycles)
-            + varint_len(record.snapshot.len() as u64)
-            + record.snapshot.len();
-        let mut w = Writer::with_capacity(10 + len + 8);
-        w.varint(len as u64);
-        record.write(&mut w);
-        self.file.write_all(&finish_frame(w, len))
-    }
-}
-
-/// Encoded width of one LEB128 varint: 7 value bits per byte, minimum one.
-fn varint_len(v: u64) -> usize {
-    ((u64::BITS - v.leading_zeros()).max(1) as usize).div_ceil(7)
-}
-
-/// Why a journal could not be loaded at all (damaged *tails* are not errors
-/// — they degrade to fewer replayable records).
-#[derive(Debug)]
-pub enum JournalError {
-    /// The file could not be read.
-    Io(std::io::Error),
-    /// The header frame is missing, damaged or from another format version.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
-            JournalError::Malformed(what) => write!(f, "malformed journal: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> JournalError {
-        JournalError::Io(e)
-    }
-}
-
-/// A journal read back from disk.
-#[derive(Debug)]
-pub struct LoadedJournal {
-    /// The run this journal belongs to.
-    pub header: JournalHeader,
-    /// Intact records, in completion order, deduplicated by interval index.
-    pub records: Vec<JournalRecord>,
-    /// Whether a damaged frame cut the load short (crash mid-append or
-    /// corruption) — everything after it is dropped and will re-simulate.
-    pub lost_tail: bool,
-}
-
-/// Decodes one framed payload, rejecting trailing bytes.
-fn decode_payload<T: Codec>(payload: &[u8]) -> Result<T, SnapError> {
-    let mut r = Reader::new(payload);
-    let v = T::read(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(SnapError::Invalid("trailing bytes in journal frame"));
-    }
-    Ok(v)
-}
-
-/// Loads a journal, tolerating a damaged tail.
+/// Writes `entry` as the journal of the run `header` describes, replacing
+/// any previous journal at `path` atomically: a crash mid-write leaves the
+/// previous journal (or none) readable, never a torn one.
 ///
 /// # Errors
 ///
-/// [`JournalError::Io`] if the file cannot be read, [`JournalError::Malformed`]
-/// if the header frame is unusable. Damage *after* the header is not an
-/// error: intact records up to that point are returned with
-/// [`LoadedJournal::lost_tail`] set.
-pub fn load_journal(path: &Path) -> Result<LoadedJournal, JournalError> {
-    let bytes = std::fs::read(path)?;
-    let mut frames = RecordIter::new(&bytes);
-    let header_payload = frames
-        .next()
-        .ok_or(JournalError::Malformed("empty file"))?
-        .map_err(|_| JournalError::Malformed("damaged header frame"))?;
-    let header: JournalHeader = decode_payload(header_payload)
-        .map_err(|_| JournalError::Malformed("undecodable header"))?;
-    if header.version != JOURNAL_VERSION {
-        return Err(JournalError::Malformed("unsupported journal version"));
+/// Any I/O error creating the directory or publishing the file.
+pub fn write_journal(
+    path: &Path,
+    header: &JournalHeader,
+    entry: &JournalEntry,
+) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
     }
-
-    let mut records: Vec<JournalRecord> = Vec::new();
-    let mut lost_tail = false;
-    for frame in frames {
-        let Ok(payload) = frame else {
-            lost_tail = true;
-            break;
-        };
-        let Ok(rec) = decode_payload::<JournalRecord>(payload) else {
-            lost_tail = true;
-            break;
-        };
-        if rec.index >= header.intervals {
-            lost_tail = true;
-            break;
-        }
-        if !records.iter().any(|r| r.index == rec.index) {
-            records.push(rec);
-        }
-    }
-    Ok(LoadedJournal {
-        header,
-        records,
-        lost_tail,
-    })
+    publish(path, &encode_entry(&encode_value(entry), header.key()))
 }
 
-/// Flips one payload byte in each journal frame at the given *record*
-/// positions (0 = first record after the header), returning how many frames
-/// were hit. Used by the fault-injection harness to manufacture checksum
-/// failures deterministically.
-///
-/// # Errors
-///
-/// Any I/O error reading or rewriting the file.
-pub fn corrupt_journal_records(path: &Path, positions: &[usize]) -> std::io::Result<usize> {
-    let mut bytes = std::fs::read(path)?;
-    // Walk the framing to find each payload's byte range. The walk mirrors
-    // `RecordIter` but keeps offsets instead of payloads.
-    let mut payload_spans: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut r = Reader::new(&bytes);
-        while r.remaining() > 0 {
-            let Ok(len) = r.varint() else { break };
-            let len = usize::try_from(len).unwrap_or(usize::MAX);
-            if len.checked_add(8).is_none_or(|n| n > r.remaining()) {
-                break;
-            }
-            payload_spans.push((bytes.len() - r.remaining(), len));
-            let _ = r.bytes(len + 8);
-        }
-    }
-    let mut hit = 0;
-    for &pos in positions {
-        // +1 skips the header frame.
-        if let Some(&(start, len)) = payload_spans.get(pos + 1) {
-            if len > 0 {
-                bytes[start] ^= 0x40;
-                hit += 1;
-            }
-        }
-    }
-    std::fs::write(path, &bytes)?;
-    Ok(hit)
+/// Reads the journal at `path` written for the run `header` describes.
+/// A missing file, one that fails the envelope or codec checks, one written
+/// for another run, and one whose records are not strictly increasing in
+/// index below the run's interval count are all `None`.
+#[must_use]
+pub fn read_journal(path: &Path, header: &JournalHeader) -> Option<JournalEntry> {
+    let bytes = std::fs::read(path).ok()?;
+    let payload = validate_entry(&bytes, header.key())?;
+    let entry: JournalEntry = decode_payload(&payload).ok()?;
+    let ordered = entry.records.windows(2).all(|w| w[0].index < w[1].index)
+        && entry
+            .records
+            .last()
+            .is_none_or(|r| r.index < header.intervals);
+    ordered.then_some(entry)
 }
 
 #[cfg(test)]
@@ -374,7 +217,13 @@ mod tests {
             weight: 17 + index,
             instructions: 2_000,
             cycles: 3_000 + index,
-            snapshot: vec![0xA5; 64],
+        }
+    }
+
+    fn entry(indices: &[u64]) -> JournalEntry {
+        JournalEntry {
+            checkpoint_bytes: 41_234,
+            records: indices.iter().map(|&i| record(i)).collect(),
         }
     }
 
@@ -385,87 +234,72 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_and_dedup() {
+    fn roundtrip_and_index_order_check() {
         let path = tmp("roundtrip.journal");
-        let mut w = JournalWriter::create(&path, &header()).expect("create");
-        for i in [2u64, 0, 1, 2] {
-            w.append(&record(i)).expect("append");
+        write_journal(&path, &header(), &entry(&[0, 1, 2, 5])).expect("write");
+        assert_eq!(read_journal(&path, &header()), Some(entry(&[0, 1, 2, 5])));
+        // A rewrite replaces the whole journal.
+        write_journal(&path, &header(), &entry(&[3])).expect("rewrite");
+        assert_eq!(read_journal(&path, &header()), Some(entry(&[3])));
+        // Duplicate, unordered and out-of-range indices are not a journal
+        // this runner wrote: the whole file is a miss.
+        for bad in [&[0, 0][..], &[2, 1], &[12]] {
+            write_journal(&path, &header(), &entry(bad)).expect("write");
+            assert_eq!(read_journal(&path, &header()), None, "{bad:?}");
         }
-        drop(w);
-        let loaded = load_journal(&path).expect("load");
-        assert_eq!(loaded.header, header());
-        assert!(!loaded.lost_tail);
-        // Completion order kept, duplicate index 2 dropped.
-        let idxs: Vec<u64> = loaded.records.iter().map(|r| r.index).collect();
-        assert_eq!(idxs, vec![2, 0, 1]);
-        assert_eq!(loaded.records[0], record(2));
     }
 
     #[test]
-    fn truncated_tail_degrades_to_fewer_records() {
+    fn truncated_journal_is_a_miss() {
         let path = tmp("truncated.journal");
-        let mut w = JournalWriter::create(&path, &header()).expect("create");
-        for i in 0..4u64 {
-            w.append(&record(i)).expect("append");
-        }
-        drop(w);
-        // Chop into the last record, as a crash mid-append would.
+        write_journal(&path, &header(), &entry(&[0, 1, 2, 3])).expect("write");
         let bytes = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &bytes[..bytes.len() - 10]).expect("truncate");
-        let loaded = load_journal(&path).expect("load");
-        assert!(loaded.lost_tail);
-        assert_eq!(loaded.records.len(), 3);
-        assert_eq!(loaded.records[2], record(2));
+        for cut in [1, 10, bytes.len() - 1] {
+            std::fs::write(&path, &bytes[..bytes.len() - cut]).expect("truncate");
+            assert_eq!(read_journal(&path, &header()), None, "cut {cut}");
+        }
     }
 
     #[test]
     fn corrupted_record_fails_its_checksum() {
         let path = tmp("corrupt.journal");
-        let mut w = JournalWriter::create(&path, &header()).expect("create");
-        for i in 0..4u64 {
-            w.append(&record(i)).expect("append");
-        }
-        drop(w);
-        let hit = corrupt_journal_records(&path, &[1]).expect("corrupt");
-        assert_eq!(hit, 1);
-        let loaded = load_journal(&path).expect("load");
-        assert!(loaded.lost_tail);
-        // Record 0 survives; the damaged frame and everything after drop.
-        assert_eq!(loaded.records.len(), 1);
-        assert_eq!(loaded.records[0].index, 0);
+        write_journal(&path, &header(), &entry(&[0, 1, 2, 3])).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("corrupt");
+        assert_eq!(read_journal(&path, &header()), None);
     }
 
     #[test]
     fn header_mismatch_is_detectable_by_caller() {
         let path = tmp("mismatch.journal");
-        let w = JournalWriter::create(&path, &header()).expect("create");
-        drop(w);
-        let loaded = load_journal(&path).expect("load");
+        write_journal(&path, &header(), &entry(&[0])).expect("write");
         let other = JournalHeader::for_run(
             &spec(),
             "indirect_stream",
             "IQ:32",
             &PipelineConfig::ltp_proposed(),
         );
-        // Same label, different configuration: the config checksum differs.
-        assert_ne!(loaded.header, other);
-        assert_ne!(loaded.header.config_fnv, other.config_fnv);
+        // Same label, different configuration: the config checksum differs,
+        // so does the key, and the journal does not read back for it.
+        assert_ne!(header().config_fnv, other.config_fnv);
+        assert_ne!(header().key(), other.key());
+        assert_eq!(read_journal(&path, &other), None);
+        assert!(read_journal(&path, &header()).is_some());
     }
 
     #[test]
     fn damaged_header_is_an_error_not_a_panic() {
         let path = tmp("badheader.journal");
         std::fs::write(&path, [0xFFu8; 3]).expect("write");
-        assert!(matches!(
-            load_journal(&path),
-            Err(JournalError::Malformed(_))
-        ));
+        assert_eq!(read_journal(&path, &header()), None);
         std::fs::write(&path, []).expect("write");
-        assert!(matches!(
-            load_journal(&path),
-            Err(JournalError::Malformed("empty file"))
-        ));
-        assert!(load_journal(Path::new("/nonexistent/nope.journal")).is_err());
+        assert_eq!(read_journal(&path, &header()), None);
+        assert_eq!(
+            read_journal(Path::new("/nonexistent/nope.journal"), &header()),
+            None
+        );
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! (useful for reproducible CI runs and for pinning experiments to a core
 //! budget); invalid or zero values fall back to the detected count.
 //!
-//! The `_ft` variants ([`stream_map_lpt_ft`], [`par_map_lpt_ft`]) add a
-//! fault-tolerance layer: each task runs under [`catch_unwind`], a panicking
-//! or deadline-overrunning attempt is retried with exponential backoff per a
+//! The streaming distributor [`stream_map_lpt_ft`] adds a fault-tolerance
+//! layer: each task runs under [`catch_unwind`], a panicking or
+//! deadline-overrunning attempt is retried with exponential backoff per a
 //! [`RetryPolicy`], and a task whose attempts are exhausted comes back as a
 //! structured [`TaskFailure`] instead of tearing down the whole scope.
 //!
@@ -188,7 +188,7 @@ fn wait_recover<'a, T>(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The producer-side handle of [`stream_map_lpt`]: push one job with an LPT
+/// The producer-side handle of [`stream_map_lpt_ft`]: push one job with an LPT
 /// cost estimate. Pushing blocks while the bounded queue is full, which keeps
 /// at most a few encoded jobs in memory regardless of how far the producer
 /// runs ahead of the workers.
@@ -284,84 +284,6 @@ impl<T> Drop for StreamCloseGuard<'_, T> {
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
     }
-}
-
-/// Streaming variant of [`par_map_lpt`]: the producer closure runs on the
-/// caller's thread and *emits* jobs one at a time through a bounded
-/// [`StreamQueue`], while worker threads consume them concurrently — each
-/// worker claims the **heaviest currently available** job (ties to the
-/// earliest pushed), the online adaptation of LPT scheduling for jobs whose
-/// costs are only discovered as the producer advances.
-///
-/// Compared to produce-all-then-[`par_map_lpt`], the first worker starts the
-/// moment the first job lands instead of after the whole production pass, so
-/// a serial production phase overlaps the parallel consumption phase; and the
-/// bounded queue (twice the worker count) caps how many encoded jobs exist at
-/// once.
-///
-/// `expected_jobs` sizes the worker pool (same `LTP_THREADS`-aware policy as
-/// the other helpers); it is a hint, not a limit — the producer may push any
-/// number of jobs. Results come back in push order.
-pub fn stream_map_lpt<T, R, P, F>(expected_jobs: usize, produce: P, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    P: FnOnce(&StreamQueue<'_, T>),
-    F: Fn(T) -> R + Sync,
-{
-    let workers = thread_count(expected_jobs.max(1));
-    let shared = StreamShared {
-        state: std::sync::Mutex::new(StreamState {
-            pending: Vec::new(),
-            closed: false,
-            pushed: 0,
-        }),
-        not_empty: std::sync::Condvar::new(),
-        not_full: std::sync::Condvar::new(),
-    };
-
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let shared_ref = &shared;
-        let f_ref = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    // If `f` unwinds, close the stream so the producer (and
-                    // peers waiting on an empty queue) cannot block forever;
-                    // the panic itself surfaces at join below.
-                    let guard = StreamCloseGuard { shared: shared_ref };
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    while let Some((idx, _, _, item)) = claim_heaviest(shared_ref) {
-                        shared_ref.not_full.notify_one();
-                        out.push((idx, f_ref(item)));
-                    }
-                    // Normal exit: disarm by forgetting nothing — closing an
-                    // already-closed stream is harmless, so just drop.
-                    drop(guard);
-                    out
-                })
-            })
-            .collect();
-
-        {
-            // Producer runs on the caller's thread; the guard closes the
-            // stream when it returns *or unwinds*, releasing the workers.
-            let _close = StreamCloseGuard { shared: shared_ref };
-            let queue = StreamQueue {
-                shared: shared_ref,
-                capacity: (workers * 2).max(1),
-            };
-            produce(&queue);
-        }
-
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("stream worker panicked"))
-            .collect()
-    });
-
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Retry discipline for the fault-tolerant runners.
@@ -523,8 +445,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fault-tolerant [`stream_map_lpt`]: same bounded queue and online-LPT
-/// claiming, but every task attempt runs under
+/// Streaming, fault-tolerant variant of [`par_map_lpt`]: the producer
+/// closure runs on the caller's thread and *emits* jobs one at a time
+/// through a bounded [`StreamQueue`], while worker threads consume them
+/// concurrently — each worker claims the **heaviest currently available**
+/// job (ties to the earliest pushed), the online adaptation of LPT
+/// scheduling for jobs whose costs are only discovered as the producer
+/// advances.
+///
+/// Compared to produce-all-then-[`par_map_lpt`], the first worker starts the
+/// moment the first job lands instead of after the whole production pass, so
+/// a serial production phase overlaps the parallel consumption phase; and the
+/// bounded queue (twice the worker count) caps how many jobs exist at once.
+/// `expected_jobs` sizes the worker pool (same `LTP_THREADS`-aware policy as
+/// the other helpers); it is a hint, not a limit — the producer may push any
+/// number of jobs.
+///
+/// Every task attempt runs under
 /// [`catch_unwind`](std::panic::catch_unwind), so one panicking job reports
 /// a structured failure instead of tearing down the scope. A failed attempt
 /// (panic or deadline overrun) is re-enqueued — after the policy backoff,
@@ -640,40 +577,11 @@ where
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Fault-tolerant [`par_map_lpt`]: applies `f` to every item with LPT load
-/// balancing and the panic/deadline/retry isolation of
-/// [`stream_map_lpt_ft`]. Outcomes come back in item order.
-pub fn par_map_lpt_ft<T, R, C, F>(
-    items: Vec<T>,
-    policy: RetryPolicy,
-    cost: C,
-    f: F,
-) -> Vec<TaskOutcome<R>>
-where
-    T: Send,
-    R: Send,
-    C: Fn(&T) -> u64,
-    F: Fn(&T, u32) -> R + Sync,
-{
-    let n = items.len();
-    stream_map_lpt_ft(
-        n,
-        policy,
-        move |q| {
-            for item in items {
-                let c = cost(&item);
-                q.push(c, item);
-            }
-        },
-        f,
-    )
-}
-
 /// A cross-pool execution governor: at most `permits` sections run at once,
 /// and when several are waiting the **heaviest** (by its declared LPT weight)
 /// is admitted first.
 ///
-/// The streaming distributors above balance load *within* one
+/// The streaming distributor above balances load *within* one
 /// [`stream_map_lpt_ft`] call; the governor extends the same
 /// heaviest-first discipline *across* independent calls. The `ltp-service`
 /// job server runs one sampled request per active job, each with its own
@@ -889,16 +797,37 @@ mod tests {
         assert_eq!(makespan(&chunked), 23);
     }
 
+    /// [`stream_map_lpt_ft`] without retries, unwrapped to plain values:
+    /// every task must succeed on its single attempt.
+    fn stream_map<T, R, P, F>(expected_jobs: usize, produce: P, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        P: FnOnce(&StreamQueue<'_, T>),
+        F: Fn(&T) -> R + Sync,
+    {
+        stream_map_lpt_ft(expected_jobs, RetryPolicy::none(), produce, |x, _| f(x))
+            .into_iter()
+            .map(|o| match o {
+                TaskOutcome::Done { value, attempts } => {
+                    assert_eq!(attempts, 1, "no task may need a retry");
+                    value
+                }
+                TaskOutcome::Failed(fail) => panic!("{fail}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn stream_map_preserves_push_order() {
-        let out = stream_map_lpt(
+        let out = stream_map(
             97,
             |q| {
                 for i in 0..97u64 {
                     q.push(i % 7 + 1, i);
                 }
             },
-            |x| x * 3,
+            |&x| x * 3,
         );
         assert_eq!(out.len(), 97);
         for (i, v) in out.iter().enumerate() {
@@ -908,7 +837,7 @@ mod tests {
 
     #[test]
     fn stream_map_empty_producer() {
-        let out: Vec<u64> = stream_map_lpt(0, |_q| {}, |x: u64| x);
+        let out: Vec<u64> = stream_map(0, |_q| {}, |&x: &u64| x);
         assert!(out.is_empty());
     }
 
@@ -917,14 +846,14 @@ mod tests {
         // Push far more jobs than the bounded queue holds while workers are
         // artificially slowed: every job must still come back, in order.
         let n = 500u64;
-        let out = stream_map_lpt(
+        let out = stream_map(
             n as usize,
             |q| {
                 for i in 0..n {
                     q.push(1, i);
                 }
             },
-            |x| {
+            |&x| {
                 if x % 50 == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
@@ -938,7 +867,7 @@ mod tests {
     fn stream_map_slow_producer_keeps_workers_fed() {
         // The streaming point: jobs produced with a delay are consumed as
         // they arrive rather than after production completes.
-        let out = stream_map_lpt(
+        let out = stream_map(
             8,
             |q| {
                 for i in 0..8u64 {
@@ -946,7 +875,7 @@ mod tests {
                     q.push(8 - i, i);
                 }
             },
-            |x| x + 100,
+            |&x| x + 100,
         );
         assert_eq!(out, (100..108).collect::<Vec<u64>>());
     }
@@ -957,14 +886,14 @@ mod tests {
         // identical inputs produce identical ordered outputs.
         let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
         let two_phase = par_map_lpt(items.clone(), |&x| x + 1, |&x| x * x);
-        let streamed = stream_map_lpt(
+        let streamed = stream_map(
             items.len(),
             |q| {
                 for &x in &items {
                     q.push(x + 1, x);
                 }
             },
-            |x| x * x,
+            |&x| x * x,
         );
         assert_eq!(two_phase, streamed);
     }
@@ -986,7 +915,16 @@ mod tests {
     fn ft_matches_plain_when_fault_free() {
         let items: Vec<u64> = (0..64).map(|i| (i * 37) % 19).collect();
         let plain = par_map_lpt(items.clone(), |&x| x + 1, |&x| x * x);
-        let ft = par_map_lpt_ft(items, RetryPolicy::none(), |&x| x + 1, |&x, _| x * x);
+        let ft = stream_map_lpt_ft(
+            items.len(),
+            RetryPolicy::none(),
+            |q| {
+                for &x in &items {
+                    q.push(x + 1, x);
+                }
+            },
+            |&x, _| x * x,
+        );
         assert_eq!(ft.len(), plain.len());
         for (out, expect) in ft.iter().zip(plain) {
             assert_eq!(out.value(), Some(&expect));
@@ -996,15 +934,18 @@ mod tests {
 
     #[test]
     fn ft_panicking_task_retries_and_succeeds() {
-        let items: Vec<u64> = (0..40).collect();
-        let out = par_map_lpt_ft(
-            items,
+        let out = stream_map_lpt_ft(
+            40,
             RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::ZERO,
                 deadline: None,
             },
-            |_| 1,
+            |q| {
+                for x in 0..40u64 {
+                    q.push(1, x);
+                }
+            },
             |&x, attempt| {
                 if x == 17 && attempt == 0 {
                     panic!("injected fault at item 17");
@@ -1022,14 +963,18 @@ mod tests {
 
     #[test]
     fn ft_exhausted_retries_report_structured_failure() {
-        let out = par_map_lpt_ft(
-            (0..8u64).collect(),
+        let out = stream_map_lpt_ft(
+            8,
             RetryPolicy {
                 max_attempts: 3,
                 base_backoff: Duration::ZERO,
                 deadline: None,
             },
-            |_| 1,
+            |q| {
+                for x in 0..8u64 {
+                    q.push(1, x);
+                }
+            },
             |&x, _| {
                 if x == 3 {
                     panic!("item {x} always fails");
@@ -1056,14 +1001,18 @@ mod tests {
 
     #[test]
     fn ft_deadline_overrun_discards_and_retries() {
-        let out = par_map_lpt_ft(
-            (0..4u64).collect(),
+        let out = stream_map_lpt_ft(
+            4,
             RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::ZERO,
                 deadline: Some(Duration::from_millis(20)),
             },
-            |_| 1,
+            |q| {
+                for x in 0..4u64 {
+                    q.push(1, x);
+                }
+            },
             |&x, attempt| {
                 if x == 2 && attempt == 0 {
                     std::thread::sleep(Duration::from_millis(60));

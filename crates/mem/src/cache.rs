@@ -280,8 +280,9 @@ impl Cache {
     /// The byte layout is exactly what encoding a `Vec<Vec<LineSnap>>` field
     /// by field would produce — decode still goes through
     /// [`Cache::from_snap_parts`] — but without materialising one `Vec` per
-    /// set: snapshots are encoded per journaled interval, and the thousands
-    /// of small allocations dominated the encode cost. Way order inside each
+    /// set: the encoder serves checkpoint-cache stores and the per-run
+    /// checkpoint-size encode, and the thousands of small allocations
+    /// dominated its cost. Way order inside each
     /// set is preserved verbatim: it decides which invalid way a fill picks,
     /// so it is part of the timing-visible state.
     pub(crate) fn snap_write_sets(&self, w: &mut ltp_snapshot::Writer) {
@@ -327,17 +328,17 @@ impl Cache {
             // Sparse per-set layout: a bitmap of non-default ways, then only
             // those ways' fields (tag, packed flags, lru). A short run warms
             // a small fraction of a large cache, so most sets collapse to
-            // one zero byte — the journal streams one snapshot per sampled
-            // interval, and both the encode and the bytes it emits have to
-            // stay cheap. Each set goes through a stack buffer and lands in
-            // one `bytes` call (per-`Writer`-call overhead dominated the
-            // dense encoding of ~30k lines).
+            // one zero byte — checkpoint-cache stores and the per-run
+            // checkpoint-size encode need both the encode and the bytes it
+            // emits to stay cheap. Each set goes through a stack buffer and
+            // lands in one `bytes` call (per-`Writer`-call overhead
+            // dominated the dense encoding of ~30k lines).
             // Single pass over the lines: the set body is encoded into the
             // buffer starting past a maximum-width bitmap slot while the
             // bitmap accumulates, then the bitmap's varint is placed flush
             // against the body. (A bitmap-first layout would need a second
-            // scan of every line; this encode runs once per journaled
-            // interval over every set of three caches.)
+            // scan of every line; each encode walks every set of three
+            // caches.)
             let mut buf = [0u8; 10 + SPARSE_MAX_WAYS * 21];
             for (s, set) in self.sets.iter().enumerate() {
                 if self.touched[s >> 6] & (1 << (s & 63)) == 0 {

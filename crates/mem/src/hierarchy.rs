@@ -512,7 +512,7 @@ pub(crate) struct HierarchySnap {
 
 /// Borrowed view of the hierarchy for the snapshot *encoder*: cloning the
 /// caches (thousands of per-set `Vec`s) on every encode dominated the cost
-/// of journaling a snapshot per sampled interval.
+/// of encoding a snapshot.
 pub(crate) struct HierarchySnapRef<'a> {
     pub(crate) cfg: &'a MemoryConfig,
     pub(crate) l1d: &'a Cache,

@@ -182,7 +182,8 @@ impl_codec!(MemoryStats {
 
 impl Codec for MemoryHierarchy {
     fn write(&self, w: &mut Writer) {
-        // Borrow, don't clone: this runs once per journaled interval.
+        // Borrow, don't clone: a clone of every cache set costs more than
+        // the encode itself.
         let p = self.snap_parts_ref();
         p.cfg.write(w);
         p.l1d.write(w);

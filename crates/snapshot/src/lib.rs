@@ -38,8 +38,8 @@ pub const MAGIC: [u8; 8] = *b"LTPSNAP\0";
 /// implementation's field set or ordering.
 ///
 /// v2: sparse per-set cache-line layout (way bitmap + packed flags) — a
-/// lightly warmed cache encodes in a fraction of the dense size, which is
-/// what keeps per-interval journaling affordable.
+/// lightly warmed cache encodes in a fraction of the dense size, which keeps
+/// checkpoint-cache stores and the per-run checkpoint-size encode cheap.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded.
@@ -617,12 +617,11 @@ pub fn encode_value<T: Codec>(value: &T) -> Vec<u8> {
 
 // --- checksummed record framing ---------------------------------------------
 //
-// An append-only log of independently-checksummed records: the persistence
-// shape the fault-tolerant sampled runner journals completed intervals into.
-// Each record stands alone (length prefix, payload, FNV-1a 64 checksum), so a
-// reader can recover every record written before a crash or a corruption and
-// cleanly stop at the first bad one — the log degrades record-by-record
-// instead of all-or-nothing.
+// Independently-checksummed records (length prefix, payload, FNV-1a 64
+// checksum): the envelope of every checkpoint-cache entry and run journal,
+// each of which is exactly one record. A reader of a multi-record log can
+// recover every record written before a crash or a corruption and cleanly
+// stop at the first bad one.
 
 /// FNV-1a 64-bit hash of `bytes` — the checksum used by [`frame_record`] and
 /// a convenient stable digest for result fingerprinting. Not cryptographic;
@@ -640,8 +639,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// FNV-1a 64-bit over 8-byte little-endian lanes (remainder bytes feed in
 /// one at a time) — the frame checksum of [`frame_record`]. Same detection
 /// class as [`fnv1a64`] (truncation, bit flips) at ~8× the throughput, which
-/// matters because journal frames carry ~100 kB encoded checkpoints and are
-/// checksummed on the simulation's critical path.
+/// matters because checkpoint-cache frames carry hundreds of kilobytes of
+/// warm state.
 #[must_use]
 pub fn fnv1a64_lanes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -669,23 +668,6 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     w.bytes(payload);
     w.bytes(&fnv1a64_lanes(payload).to_le_bytes());
     w.into_bytes()
-}
-
-/// Finishes a frame whose length prefix and payload were written directly
-/// into `w`: given a writer holding exactly `varint(payload_len)` followed
-/// by `payload_len` payload bytes, appends the payload's checksum and
-/// returns the finished frame. Byte-identical to `frame_record(&payload)`,
-/// but the payload is encoded in place instead of being copied into the
-/// frame afterwards — the journal drain frames multi-kilobyte checkpoint
-/// records on the run's critical tail.
-#[must_use]
-pub fn finish_frame(w: Writer, payload_len: usize) -> Vec<u8> {
-    let mut buf = w.into_bytes();
-    debug_assert!(buf.len() >= payload_len, "writer holds prefix + payload");
-    let start = buf.len() - payload_len;
-    let sum = fnv1a64_lanes(&buf[start..]);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
 }
 
 /// Why a framed record could not be read.
@@ -914,7 +896,7 @@ mod tests {
     #[test]
     fn fnv_is_stable() {
         // Pinned reference values (offset basis and the standard test vector)
-        // so the on-disk journal checksum can never silently change.
+        // so the on-disk frame checksum can never silently change.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

@@ -11,8 +11,9 @@
 #      exit 0 — the default retry policy absorbs the fault — and print the
 #      *same* result digest as the fault-free run: recovery is bit-exact,
 #      not approximate.
-#   3. A resume over the journals written in step 1 must replay intervals
-#      (no re-simulation) and again reproduce the digest.
+#   3. A resume over the journals written in step 1 must replay every
+#      interval (`resume: N/N intervals replayed`, no re-simulation) and
+#      again reproduce the digest.
 #
 # The digest is the report's `result digest: 0x...` line — an FNV-1a over
 # every measured interval's (workload, config, index, instructions, cycles).
@@ -84,6 +85,12 @@ if [[ "$RESUME_DIGEST" != "$CLEAN_DIGEST" ]]; then
 fi
 if ! grep -q "^resume: " "$OUT/resumed/sample.txt"; then
     echo "canary: resumed run did not report replayed intervals" >&2
+    exit 1
+fi
+# Every planned interval must replay: a journal that silently fails to load
+# re-simulates to the same digest, so the digest alone cannot catch it.
+if ! grep -Eq "^resume: ([1-9][0-9]*)/\1 intervals replayed" "$OUT/resumed/sample.txt"; then
+    echo "canary: resume did not replay every interval: $(grep '^resume: ' "$OUT/resumed/sample.txt")" >&2
     exit 1
 fi
 

@@ -23,9 +23,9 @@
 //! reports gain a cache-stats line when it is active.
 //!
 //! The fault-tolerance flags apply to the `sample` experiment: `--journal DIR`
-//! appends completed intervals to per-point journals under `DIR`, `--resume
-//! DIR` replays matching journals (and implies journaling to the same
-//! directory), `--retries N` bounds attempts per interval, and `--inject
+//! writes each point's completed-interval measurements to a per-point journal
+//! under `DIR` once the point ends, `--resume DIR` replays matching journals
+//! (and implies journaling to the same directory), `--retries N` bounds attempts per interval, and `--inject
 //! SPEC` (or the `LTP_FAULT_PLAN` environment variable) injects a
 //! deterministic fault plan — see `ltp_experiments::fault::FaultPlan::parse`
 //! for the grammar.

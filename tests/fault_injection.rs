@@ -13,21 +13,24 @@
 //!   retried and surfaces as an [`IntervalFailure`] carrying the
 //!   [`DeadlockSnapshot`] diagnostics;
 //! - a journaled run that dies mid-way resumes from the journal and
-//!   reproduces the uninterrupted result exactly, including when the journal
-//!   tail was corrupted or truncated by the crash.
+//!   reproduces the uninterrupted result exactly; a corrupted, truncated,
+//!   foreign or old-format journal is a miss that re-simulates every
+//!   interval to the same result.
 //!
 //! The simulator is deterministic, so "recovered correctly" is assertable as
 //! bit-for-bit equality of every per-interval measurement and of the
 //! aggregate confidence interval.
 
 use ltp_experiments::fault::FaultPlan;
+use ltp_experiments::journal::{JournalHeader, JournalRecord};
 use ltp_experiments::parallel::{FailureKind, RetryPolicy};
+use ltp_experiments::sampled;
 use ltp_experiments::sampled::{
     IntervalError, SampleControl, SampleSpec, SampledRequest, SampledResult,
 };
-use ltp_experiments::{journal, sampled};
 use ltp_isa::{DecodedTrace, DynInst};
 use ltp_pipeline::{PipelineConfig, RunError};
+use ltp_snapshot::{encode_value, frame_record, Codec, Writer};
 use ltp_workloads::{trace, WorkloadKind};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -317,7 +320,10 @@ fn corrupted_journal_record_is_shed_on_resume() {
         ..SampleControl::default()
     });
     assert!(first.journal_error.is_none());
-    journal::corrupt_journal_records(&path, &[1]).expect("corrupt record 1");
+    let mut bytes = std::fs::read(&path).expect("journal written");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&path, &bytes).expect("corrupt the journal");
 
     let resumed = run_controlled(&SampleControl {
         journal: Some(path.clone()),
@@ -330,6 +336,81 @@ fn corrupted_journal_record_is_shed_on_resume() {
         "the corrupted record (and its tail) must not replay"
     );
     assert_bit_identical(&resumed, &reference(), "resume past corruption");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn resume_over_any_flipped_journal_byte_resimulates_every_interval() {
+    // Whichever byte of the journal is damaged — envelope, key, payload or
+    // checksum — the whole file is a miss: nothing replays, every interval
+    // re-simulates, and the result is still the uninterrupted one.
+    let reference = reference();
+    let path = scratch_journal("flip");
+    run_controlled(&SampleControl {
+        journal: Some(path.clone()),
+        ..SampleControl::default()
+    });
+    let pristine = std::fs::read(&path).expect("journal written");
+    for offset in 0..pristine.len() {
+        let mut bytes = pristine.clone();
+        bytes[offset] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("flip one byte");
+        let resumed = run_controlled(&SampleControl {
+            journal: Some(path.clone()),
+            resume: true,
+            ..SampleControl::default()
+        });
+        assert_eq!(resumed.resumed_intervals, 0, "byte {offset} flipped");
+        assert_bit_identical(&resumed, &reference, &format!("byte {offset} flipped"));
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn old_multi_frame_journal_is_ignored() {
+    // The previous format: a header frame, then one frame per completed
+    // interval carrying its measurement and encoded checkpoint. A journal
+    // left in it — here with genuine measurements for this very run — must
+    // not replay; the run starts fresh and rewrites it in today's format.
+    let reference = reference();
+    let path = scratch_journal("oldformat");
+    let mut header = JournalHeader::for_run(
+        &spec(),
+        WorkloadKind::IndirectStream.name(),
+        "",
+        &PipelineConfig::ltp_proposed(),
+    );
+    header.version = 1;
+    let mut bytes = frame_record(&encode_value(&header));
+    for m in &reference.intervals {
+        let mut w = Writer::new();
+        JournalRecord {
+            index: m.index as u64,
+            start: m.start,
+            weight: m.weight,
+            instructions: m.instructions,
+            cycles: m.cycles,
+        }
+        .write(&mut w);
+        let snapshot = [0xA5u8; 64];
+        w.varint(snapshot.len() as u64);
+        w.bytes(&snapshot);
+        bytes.extend(frame_record(&w.into_bytes()));
+    }
+    std::fs::write(&path, &bytes).expect("old-format journal");
+
+    let resume = SampleControl {
+        journal: Some(path.clone()),
+        resume: true,
+        ..SampleControl::default()
+    };
+    let fresh = run_controlled(&resume);
+    assert_eq!(fresh.resumed_intervals, 0, "old format must not replay");
+    assert!(!fresh.is_partial());
+    assert_bit_identical(&fresh, &reference, "fresh run over an old journal");
+    let replayed = run_controlled(&resume);
+    assert_eq!(replayed.resumed_intervals, spec().intervals);
+    assert_bit_identical(&replayed, &reference, "replay of the rewritten journal");
     let _ = std::fs::remove_file(path);
 }
 
