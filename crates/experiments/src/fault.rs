@@ -11,6 +11,7 @@
 //! methods, and the `experiments` binary parses `--inject` / the
 //! `LTP_FAULT_PLAN` environment variable via [`FaultPlan::parse`].
 
+use crate::parallel::Clock;
 use std::time::Duration;
 
 /// A deterministic set of faults to inject into a sampled run, keyed by
@@ -53,14 +54,17 @@ impl FaultPlan {
     }
 
     /// Runs the faults scheduled for `(index, attempt)`: sleeps through any
-    /// matching delay, then panics if a panic is scheduled. Called at the top
-    /// of each simulation attempt, inside the runner's panic isolation.
+    /// matching delay on `clock`, then panics if a panic is scheduled.
+    /// Called at the top of each simulation attempt, inside the runner's
+    /// panic isolation. The sampled runner passes the
+    /// [`VirtualClock`](crate::parallel::VirtualClock) its deadline is read
+    /// from, so a delay advances virtual time instead of sleeping.
     ///
     /// # Panics
     ///
     /// Panics exactly when the plan schedules a panic for this coordinate —
     /// that is the injected fault.
-    pub fn inject(&self, index: usize, attempt: u32) {
+    pub fn inject(&self, index: usize, attempt: u32, clock: &dyn Clock) {
         let delay: u64 = self
             .delays
             .iter()
@@ -68,7 +72,7 @@ impl FaultPlan {
             .map(|&(_, _, ms)| ms)
             .sum();
         if delay > 0 {
-            std::thread::sleep(Duration::from_millis(delay));
+            clock.sleep(Duration::from_millis(delay));
         }
         if self.panics.contains(&(index, attempt)) {
             panic!("injected fault: interval {index} attempt {attempt}");
@@ -127,24 +131,39 @@ fn parse_coord(coord: &str) -> Result<(usize, u32), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::VirtualClock;
 
     #[test]
     fn empty_plan_injects_nothing() {
         let plan = FaultPlan::new();
+        let clock = VirtualClock::default();
         assert!(plan.is_empty());
         for i in 0..8 {
             for a in 0..3 {
-                plan.inject(i, a); // must not panic or sleep
+                plan.inject(i, a, &clock); // must not panic or sleep
             }
         }
+        assert_eq!(clock.now(), Duration::ZERO);
+    }
+
+    #[test]
+    fn delays_advance_the_clock_only_at_their_coordinate() {
+        let plan = FaultPlan::new().delay_at(1, 0, 30).delay_at(1, 0, 20);
+        let clock = VirtualClock::default();
+        plan.inject(1, 1, &clock);
+        plan.inject(0, 0, &clock);
+        assert_eq!(clock.now(), Duration::ZERO);
+        plan.inject(1, 0, &clock);
+        assert_eq!(clock.now(), Duration::from_millis(50));
     }
 
     #[test]
     fn panic_fires_only_at_its_coordinate() {
         let plan = FaultPlan::new().panic_at(2, 1);
-        plan.inject(2, 0);
-        plan.inject(1, 1);
-        let err = std::panic::catch_unwind(|| plan.inject(2, 1)).expect_err("must panic");
+        let clock = VirtualClock::default();
+        plan.inject(2, 0, &clock);
+        plan.inject(1, 1, &clock);
+        let err = std::panic::catch_unwind(|| plan.inject(2, 1, &clock)).expect_err("must panic");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("interval 2 attempt 1"), "{msg}");
     }

@@ -18,10 +18,16 @@
 //! layer: each task runs under [`catch_unwind`], a panicking or
 //! deadline-overrunning attempt is retried with exponential backoff per a
 //! [`RetryPolicy`], and a task whose attempts are exhausted comes back as a
-//! structured [`TaskFailure`] instead of tearing down the whole scope.
+//! structured [`TaskFailure`] instead of tearing down the whole scope. It
+//! reads the deadline and waits out the backoff on a [`Clock`]: host time
+//! ([`WallClock`]) in production, per-thread [`VirtualClock`] time when a
+//! fault plan drives the run, so an injected delay busts a deadline
+//! deterministically whatever the host load.
 //!
 //! [`catch_unwind`]: std::panic::catch_unwind
 
+use std::collections::HashMap;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Number of worker threads for a pool processing up to `n` jobs: the
@@ -299,7 +305,8 @@ pub struct RetryPolicy {
     /// Backoff before retry `k` is `base_backoff << k` (k = 0 for the first
     /// retry), capping the shift at 10 doublings.
     pub base_backoff: Duration,
-    /// Per-attempt wall-clock deadline. The check is post-hoc — the attempt
+    /// Per-attempt deadline, measured on the runner's [`Clock`] (host time
+    /// in production). The check is post-hoc — the attempt
     /// is not interrupted, its result is discarded once the overrun is
     /// observed — which is enough because the simulator bounds true hangs
     /// with its own deadlock watchdog, and task results are deterministic so
@@ -334,6 +341,68 @@ impl RetryPolicy {
 
     fn backoff_for(&self, attempt: u32) -> Duration {
         self.base_backoff.saturating_mul(1 << attempt.min(10))
+    }
+}
+
+/// The time source of [`stream_map_lpt_ft`]'s per-attempt deadline and
+/// retry backoff. An attempt's elapsed time is the difference of two
+/// [`Clock::now`] readings taken on the worker thread that ran it.
+pub trait Clock: Sync {
+    /// The calling thread's current time, from an arbitrary fixed origin.
+    fn now(&self) -> Duration;
+    /// Lets `d` pass on the calling thread.
+    fn sleep(&self, d: Duration);
+}
+
+/// Host time: [`Instant`] and [`std::thread::sleep`]. Production runs use
+/// it, so a deadline bounds what an attempt really costs.
+#[derive(Debug, Clone, Copy)]
+pub struct WallClock {
+    origin: Instant,
+}
+
+impl Default for WallClock {
+    /// A wall clock whose origin is now.
+    fn default() -> WallClock {
+        WallClock {
+            origin: Instant::now(),
+        }
+    }
+}
+
+impl Clock for WallClock {
+    fn now(&self) -> Duration {
+        self.origin.elapsed()
+    }
+    fn sleep(&self, d: Duration) {
+        std::thread::sleep(d);
+    }
+}
+
+/// Virtual time, kept per thread: a thread's clock stands still while it
+/// computes and moves only when it sleeps, and sleeping returns at once.
+/// Since every attempt runs on one worker thread, its elapsed time is
+/// exactly the delays it slept — a deadline check on this clock depends on
+/// the injected faults alone, never on host load or on what the other
+/// workers are doing.
+#[derive(Debug, Default)]
+pub struct VirtualClock {
+    threads: std::sync::Mutex<HashMap<ThreadId, Duration>>,
+}
+
+impl Clock for VirtualClock {
+    fn now(&self) -> Duration {
+        let id = std::thread::current().id();
+        lock_recover(&self.threads)
+            .get(&id)
+            .copied()
+            .unwrap_or_default()
+    }
+    fn sleep(&self, d: Duration) {
+        let id = std::thread::current().id();
+        let mut threads = lock_recover(&self.threads);
+        let t = threads.entry(id).or_default();
+        *t = t.saturating_add(d);
     }
 }
 
@@ -474,9 +543,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// needed again for the retry). Results come back in push order. A worker
 /// that claims the last pending job stays alive across its own retries, so
 /// progress is guaranteed even after its peers have drained out.
+///
+/// Attempt durations and backoffs are measured and waited on `clock`.
 pub fn stream_map_lpt_ft<T, R, P, F>(
     expected_jobs: usize,
     policy: RetryPolicy,
+    clock: &dyn Clock,
     produce: P,
     f: F,
 ) -> Vec<TaskOutcome<R>>
@@ -508,12 +580,12 @@ where
                     let mut out: Vec<(usize, TaskOutcome<R>)> = Vec::new();
                     while let Some((idx, cost, attempt, item)) = claim_heaviest(shared_ref) {
                         shared_ref.not_full.notify_one();
-                        let started = Instant::now();
+                        let started = clock.now();
                         let attempt_result =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 f_ref(&item, attempt)
                             }));
-                        let elapsed = started.elapsed();
+                        let elapsed = clock.now().saturating_sub(started);
                         let failure = match attempt_result {
                             Ok(value) => match policy_ref.deadline {
                                 Some(deadline) if elapsed > deadline => {
@@ -533,7 +605,7 @@ where
                             Err(payload) => FailureKind::Panic(panic_message(payload.as_ref())),
                         };
                         if attempt + 1 < max_attempts {
-                            std::thread::sleep(policy_ref.backoff_for(attempt));
+                            clock.sleep(policy_ref.backoff_for(attempt));
                             push_retry(shared_ref, idx, cost, attempt + 1, item);
                         } else {
                             out.push((
@@ -806,16 +878,22 @@ mod tests {
         P: FnOnce(&StreamQueue<'_, T>),
         F: Fn(&T) -> R + Sync,
     {
-        stream_map_lpt_ft(expected_jobs, RetryPolicy::none(), produce, |x, _| f(x))
-            .into_iter()
-            .map(|o| match o {
-                TaskOutcome::Done { value, attempts } => {
-                    assert_eq!(attempts, 1, "no task may need a retry");
-                    value
-                }
-                TaskOutcome::Failed(fail) => panic!("{fail}"),
-            })
-            .collect()
+        stream_map_lpt_ft(
+            expected_jobs,
+            RetryPolicy::none(),
+            &WallClock::default(),
+            produce,
+            |x, _| f(x),
+        )
+        .into_iter()
+        .map(|o| match o {
+            TaskOutcome::Done { value, attempts } => {
+                assert_eq!(attempts, 1, "no task may need a retry");
+                value
+            }
+            TaskOutcome::Failed(fail) => panic!("{fail}"),
+        })
+        .collect()
     }
 
     #[test]
@@ -918,6 +996,7 @@ mod tests {
         let ft = stream_map_lpt_ft(
             items.len(),
             RetryPolicy::none(),
+            &WallClock::default(),
             |q| {
                 for &x in &items {
                     q.push(x + 1, x);
@@ -941,6 +1020,7 @@ mod tests {
                 base_backoff: Duration::ZERO,
                 deadline: None,
             },
+            &WallClock::default(),
             |q| {
                 for x in 0..40u64 {
                     q.push(1, x);
@@ -970,6 +1050,7 @@ mod tests {
                 base_backoff: Duration::ZERO,
                 deadline: None,
             },
+            &WallClock::default(),
             |q| {
                 for x in 0..8u64 {
                     q.push(1, x);
@@ -1001,6 +1082,7 @@ mod tests {
 
     #[test]
     fn ft_deadline_overrun_discards_and_retries() {
+        let clock = VirtualClock::default();
         let out = stream_map_lpt_ft(
             4,
             RetryPolicy {
@@ -1008,6 +1090,7 @@ mod tests {
                 base_backoff: Duration::ZERO,
                 deadline: Some(Duration::from_millis(20)),
             },
+            &clock,
             |q| {
                 for x in 0..4u64 {
                     q.push(1, x);
@@ -1015,7 +1098,7 @@ mod tests {
             },
             |&x, attempt| {
                 if x == 2 && attempt == 0 {
-                    std::thread::sleep(Duration::from_millis(60));
+                    clock.sleep(Duration::from_millis(60));
                 }
                 x + 100
             },
@@ -1024,6 +1107,20 @@ mod tests {
             assert_eq!(o.value(), Some(&(i as u64 + 100)), "item {i}");
         }
         assert_eq!(out[2].attempts(), 2, "slow first attempt must be retried");
+    }
+
+    #[test]
+    fn virtual_clock_moves_only_on_the_sleeping_thread() {
+        let clock = VirtualClock::default();
+        clock.sleep(Duration::from_millis(5));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(clock.now(), Duration::ZERO, "a fresh thread starts at zero");
+                clock.sleep(Duration::from_secs(3));
+                assert_eq!(clock.now(), Duration::from_secs(3));
+            });
+        });
+        assert_eq!(clock.now(), Duration::from_millis(5));
     }
 
     #[test]
@@ -1038,6 +1135,7 @@ mod tests {
                 base_backoff: Duration::ZERO,
                 deadline: None,
             },
+            &WallClock::default(),
             |q| {
                 for i in 0..5u64 {
                     q.push(1, i);

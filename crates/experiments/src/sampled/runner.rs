@@ -10,7 +10,9 @@ use super::{
 };
 use crate::cache::{sampled_warm_key, CachedInterval, IntervalGeometry, SampledWarmEntry};
 use crate::journal::{self, JournalEntry, JournalHeader, JournalRecord};
-use crate::parallel::{par_map_lpt, stream_map_lpt_ft, TaskOutcome};
+use crate::parallel::{
+    par_map_lpt, stream_map_lpt_ft, Clock, TaskOutcome, VirtualClock, WallClock,
+};
 use ltp_core::OracleClassifier;
 use ltp_isa::{DecodedTrace, DynInst};
 use ltp_pipeline::{FunctionalFastForward, PipelineConfig, RunError, Snapshot};
@@ -149,6 +151,15 @@ pub(super) fn run_controlled(
         0
     };
     let detail_nanos = AtomicU64::new(0);
+    // Deadlines and backoffs run on host time, except under a fault plan:
+    // there the injected delays advance per-thread virtual time, so whether
+    // an attempt overruns its deadline depends on the plan alone.
+    let (wall_clock, virtual_clock) = (WallClock::default(), VirtualClock::default());
+    let clock: &dyn Clock = if control.faults.is_empty() {
+        &wall_clock
+    } else {
+        &virtual_clock
+    };
     let outcomes: Vec<TaskOutcome<Result<IntervalMeasurement, WorkerErr>>> = if all_done {
         Vec::new()
     } else {
@@ -160,7 +171,7 @@ pub(super) fn run_controlled(
             if cancel_requested() {
                 return Err(WorkerErr::Cancelled);
             }
-            control.faults.inject(job.index, attempt);
+            control.faults.inject(job.index, attempt, clock);
             let simulate = || {
                 let t0 = Instant::now();
                 let m = simulate_interval(job, oracle, name, detail, warm_eff, measure_eff);
@@ -233,6 +244,7 @@ pub(super) fn run_controlled(
             stream_map_lpt_ft(
                 intervals - resumed_intervals,
                 control.retry,
+                clock,
                 |queue| {
                     for (i, (cached_iv, &start)) in
                         entry.intervals.into_iter().zip(&starts).enumerate()
@@ -278,6 +290,7 @@ pub(super) fn run_controlled(
             stream_map_lpt_ft(
                 intervals - resumed_intervals,
                 control.retry,
+                clock,
                 |queue| {
                     // On a miss with a cache attached, capture every interval
                     // boundary's warm state (replayed intervals included —

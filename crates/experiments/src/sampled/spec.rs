@@ -222,7 +222,10 @@ pub type ProgressSink = Arc<dyn Fn(&IntervalMeasurement) + Send + Sync>;
 pub struct SampleControl {
     /// Retry discipline for interval simulation attempts.
     pub retry: RetryPolicy,
-    /// Deterministic fault plan injected into interval attempts.
+    /// Deterministic fault plan injected into interval attempts. A
+    /// non-empty plan also moves `retry`'s deadline and backoff onto
+    /// virtual time ([`VirtualClock`](crate::parallel::VirtualClock)): the
+    /// plan's delays advance it, host load does not.
     pub faults: FaultPlan,
     /// Journal file for this point: the measurements of completed intervals
     /// are written to it once the interval stream ends, and `resume` replays

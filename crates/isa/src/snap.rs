@@ -142,9 +142,13 @@ impl Codec for StaticInst {
         self.pc().write(w);
         self.op().write(w);
         self.dst().write(w);
-        // Raw sources, so zero idioms keep their architectural source list.
-        let srcs: Vec<ArchReg> = self.raw_srcs().iter().filter_map(|s| *s).collect();
-        srcs.write(w);
+        // Raw sources, so zero idioms keep their architectural source list;
+        // the same bytes as the `Vec<ArchReg>` codec, without building one.
+        let srcs = self.raw_srcs().iter().flatten();
+        w.varint(srcs.clone().count() as u64);
+        for s in srcs {
+            s.write(w);
+        }
         self.is_zero_idiom().write(w);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
@@ -198,20 +202,73 @@ impl Codec for DynInst {
     }
 }
 
-/// Content fingerprint of an instruction trace: FNV-1a over the canonical
-/// encoding of `(length, instructions...)`. This is the *stable trace
-/// identity* cache keys use — two traces hash equal exactly when every
-/// instruction (PC, operands, memory access, branch outcome) encodes
-/// identically, independent of how the trace was generated. The leading
-/// length keeps a prefix trace from hashing equal to its extension.
+/// Content fingerprint of an instruction trace: the *stable trace
+/// identity* cache keys use. Two traces hash equal exactly when every
+/// instruction's fields — sequence number, thread, PC, op class, registers,
+/// zero idiom, memory access, branch outcome — are equal, independent of how
+/// the trace was generated (up to 64-bit collisions). The leading length
+/// keeps a prefix trace from hashing equal to its extension.
+///
+/// Each instruction contributes five fixed-width words (sequence number,
+/// PC, a packed word of the small fields, memory address, branch target)
+/// folded into the hash 64 bits at a time, so fingerprinting a trace neither
+/// allocates nor encodes it. Every fold step is a bijection of the running
+/// hash, so a trace differing from another in any single word always hashes
+/// differently.
 #[must_use]
 pub fn trace_fingerprint(insts: &[DynInst]) -> u64 {
-    let mut w = Writer::with_capacity(insts.len() * 24 + 16);
-    (insts.len() as u64).write(&mut w);
+    let mut h = fold(0xcbf2_9ce4_8422_2325, insts.len() as u64);
     for inst in insts {
-        inst.write(&mut w);
+        for word in inst_words(inst) {
+            h = fold(h, word);
+        }
     }
-    ltp_snapshot::fnv1a64(&w.into_bytes())
+    h
+}
+
+/// One step of [`trace_fingerprint`]: xor the word in, multiply by an odd
+/// constant and rotate, so high input bits reach the low hash bits too.
+#[inline]
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ word)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .rotate_left(29)
+}
+
+/// The fixed-width words [`trace_fingerprint`] folds per instruction:
+/// sequence number, PC, a packed word of the small fields, the memory
+/// address and the branch target (zero when absent; the packed word's
+/// presence bits tell an absent field from a zero one).
+///
+/// Packed layout, low bit first: thread (8 bits), op class (8), destination
+/// (7: zero for none, else register index + 1), up to [`crate::MAX_SRCS`]
+/// sources in order (7 each, same coding), zero idiom (1), memory present
+/// (1), memory size (8), branch present (1), branch taken (1).
+#[inline]
+fn inst_words(inst: &DynInst) -> [u64; 5] {
+    const REG_BITS: u32 = 7;
+    const SRCS_AT: u32 = 16 + REG_BITS;
+    const FLAGS_AT: u32 = SRCS_AT + REG_BITS * crate::MAX_SRCS as u32;
+    const _: () = assert!(crate::NUM_ARCH_REGS < 1 << REG_BITS && FLAGS_AT + 12 <= 64);
+    let reg = |r: ArchReg| r.index() as u64 + 1;
+    let s = inst.static_inst();
+    let mem = inst.mem_access();
+    let branch = inst.branch_info();
+    let mut shape = u64::from(inst.tid().0) | (s.op() as u64) << 8 | s.dst().map_or(0, reg) << 16;
+    for (i, src) in s.raw_srcs().iter().flatten().enumerate() {
+        shape |= reg(*src) << (SRCS_AT + REG_BITS * i as u32);
+    }
+    shape |= (u64::from(s.is_zero_idiom())
+        | mem.map_or(0, |m| 1 << 1 | u64::from(m.size()) << 2)
+        | branch.map_or(0, |b| 1 << 10 | u64::from(b.taken) << 11))
+        << FLAGS_AT;
+    [
+        inst.seq().0,
+        s.pc().0,
+        shape,
+        mem.map_or(0, |m| m.addr()),
+        branch.map_or(0, |b| b.target.0),
+    ]
 }
 
 #[cfg(test)]
@@ -272,6 +329,166 @@ mod tests {
             target: Pc(0x100),
         });
         roundtrip(branch);
+    }
+
+    /// The `Vec`-free `StaticInst::write` emits exactly the bytes of the
+    /// `Vec<ArchReg>` source encoding it replaced, for every source count,
+    /// with and without a destination and a zero idiom.
+    #[test]
+    fn static_inst_bytes_match_the_vec_encoding() {
+        for n in 0..=crate::MAX_SRCS {
+            for dst in [None, Some(ArchReg::int(7))] {
+                for zero in [false, true] {
+                    let mut inst = StaticInst::new(Pc(0x40c), OpClass::IntAlu);
+                    if let Some(d) = dst {
+                        inst = inst.with_dst(d);
+                    }
+                    for i in 0..n {
+                        inst = inst.with_src(ArchReg::fp(i + 1));
+                    }
+                    if zero {
+                        inst = inst.with_zero_idiom();
+                    }
+                    let mut w = Writer::new();
+                    inst.pc().write(&mut w);
+                    inst.op().write(&mut w);
+                    inst.dst().write(&mut w);
+                    let srcs: Vec<ArchReg> = inst.raw_srcs().iter().filter_map(|s| *s).collect();
+                    srcs.write(&mut w);
+                    inst.is_zero_idiom().write(&mut w);
+                    assert_eq!(
+                        encode_value(&inst),
+                        w.into_bytes(),
+                        "{n} srcs, {dst:?}, {zero}"
+                    );
+                    roundtrip(inst);
+                }
+            }
+        }
+    }
+
+    /// Every field of a [`DynInst`], spelled out so a test can change one.
+    #[derive(Clone)]
+    struct Fields {
+        seq: u64,
+        tid: u8,
+        pc: u64,
+        op: OpClass,
+        dst: Option<ArchReg>,
+        srcs: Vec<ArchReg>,
+        zero_idiom: bool,
+        mem: Option<(u64, u8)>,
+        branch: Option<(bool, u64)>,
+    }
+
+    impl Fields {
+        fn build(&self) -> DynInst {
+            let mut s = StaticInst::new(Pc(self.pc), self.op);
+            if let Some(d) = self.dst {
+                s = s.with_dst(d);
+            }
+            for &src in &self.srcs {
+                s = s.with_src(src);
+            }
+            if self.zero_idiom {
+                s = s.with_zero_idiom();
+            }
+            let mut inst = DynInst::new(self.seq, s).with_tid(ThreadId(self.tid));
+            if let Some((addr, size)) = self.mem {
+                inst = inst.with_mem(MemAccess::new(addr, size));
+            }
+            if let Some((taken, target)) = self.branch {
+                inst = inst.with_branch(BranchInfo {
+                    taken,
+                    target: Pc(target),
+                });
+            }
+            inst
+        }
+    }
+
+    /// Changing any single field of one instruction in a trace changes the
+    /// trace's fingerprint.
+    #[test]
+    fn fingerprint_sees_every_field() {
+        let load = Fields {
+            seq: 10,
+            tid: 1,
+            pc: 0x400,
+            op: OpClass::Load,
+            dst: Some(ArchReg::int(3)),
+            srcs: vec![ArchReg::int(1), ArchReg::int(2), ArchReg::fp(4)],
+            zero_idiom: false,
+            mem: Some((0x9000, 8)),
+            branch: None,
+        };
+        let branch = Fields {
+            seq: 11,
+            pc: 0x408,
+            op: OpClass::Branch,
+            dst: None,
+            srcs: vec![ArchReg::int(2)],
+            mem: None,
+            branch: Some((true, 0x100)),
+            ..load.clone()
+        };
+        let mut cases: Vec<(&str, Fields, Fields)> = Vec::new();
+        let mut vary = |what, base: &Fields, change: &dyn Fn(&mut Fields)| {
+            let mut f = base.clone();
+            change(&mut f);
+            cases.push((what, base.clone(), f));
+        };
+        vary("seq", &load, &|f| f.seq += 1);
+        vary("tid", &load, &|f| f.tid = 0);
+        vary("pc", &load, &|f| f.pc += 4);
+        vary("op", &load, &|f| f.op = OpClass::Store);
+        vary("dst register", &load, &|f| f.dst = Some(ArchReg::int(4)));
+        vary("dst presence", &load, &|f| f.dst = None);
+        vary("dst class", &load, &|f| f.dst = Some(ArchReg::fp(3)));
+        for (i, what) in ["source 0", "source 1", "source 2"].into_iter().enumerate() {
+            vary(what, &load, &|f| f.srcs[i] = ArchReg::int(30));
+        }
+        vary("source count", &load, &|f| {
+            f.srcs.pop();
+        });
+        vary("zero idiom", &load, &|f| f.zero_idiom = true);
+        vary("mem presence", &load, &|f| f.mem = None);
+        vary("mem address", &load, &|f| f.mem = Some((0x9008, 8)));
+        vary("mem size", &load, &|f| f.mem = Some((0x9000, 4)));
+        vary("branch presence", &branch, &|f| f.branch = None);
+        vary("branch taken", &branch, &|f| {
+            f.branch = Some((false, 0x100))
+        });
+        vary("branch target", &branch, &|f| {
+            f.branch = Some((true, 0x104))
+        });
+
+        let before = DynInst::new(9, StaticInst::new(Pc(0x3fc), OpClass::Nop));
+        let after = DynInst::new(12, StaticInst::new(Pc(0x40c), OpClass::IntAlu));
+        for (what, base, changed) in cases {
+            let a = trace_fingerprint(&[before, base.build(), after]);
+            let b = trace_fingerprint(&[before, changed.build(), after]);
+            assert_eq!(a, trace_fingerprint(&[before, base.build(), after]));
+            assert_ne!(a, b, "changing the {what} left the fingerprint unchanged");
+        }
+    }
+
+    #[test]
+    fn fingerprint_tells_a_prefix_from_its_extension() {
+        let insts: Vec<DynInst> = (0..8)
+            .map(|i| DynInst::new(i, StaticInst::new(Pc(0x100 + 4 * i), OpClass::Nop)))
+            .collect();
+        for n in 0..insts.len() {
+            assert_ne!(
+                trace_fingerprint(&insts[..n]),
+                trace_fingerprint(&insts[..=n]),
+                "length {n}"
+            );
+        }
+        // An extension by an all-zero instruction is told apart as well.
+        let zero = DynInst::new(0, StaticInst::new(Pc(0), OpClass::IntAlu));
+        assert_ne!(trace_fingerprint(&[]), trace_fingerprint(&[zero]));
+        assert_ne!(trace_fingerprint(&[zero]), trace_fingerprint(&[zero, zero]));
     }
 
     #[test]

@@ -76,7 +76,11 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line, set-major: set `s` owns `lines[s * ways..(s + 1) * ways]`.
+    /// One allocation for the whole cache, so building, cloning and dropping
+    /// one (a checkpoint does all three per cache) is one `malloc` and one
+    /// `memcpy`, not one per set.
+    lines: Vec<Line>,
     set_shift: u32,
     set_mask: u64,
     lru_clock: u64,
@@ -98,7 +102,7 @@ impl Cache {
         let num_sets = cfg.num_sets();
         Cache {
             cfg,
-            sets: vec![vec![Line::invalid(); cfg.ways]; num_sets],
+            lines: vec![Line::invalid(); num_sets * cfg.ways],
             set_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: (num_sets as u64) - 1,
             lru_clock: 0,
@@ -132,6 +136,11 @@ impl Cache {
         self.lru_clock
     }
 
+    /// Index range of `set`'s ways in `lines`.
+    fn ways_of(&self, set: usize) -> std::ops::Range<usize> {
+        set * self.cfg.ways..(set + 1) * self.cfg.ways
+    }
+
     /// Looks up `addr` as a *demand* access. Returns `true` on a hit and
     /// updates LRU and hit/miss statistics. On a write hit the line is marked
     /// dirty. A miss does **not** allocate; call [`Cache::fill`] when the
@@ -142,7 +151,10 @@ impl Cache {
         let tag = self.tag(addr);
         let stamp = self.tick();
         self.touched[set >> 6] |= 1 << (set & 63);
-        let line = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag);
+        let span = self.ways_of(set);
+        let line = self.lines[span]
+            .iter_mut()
+            .find(|l| l.valid && l.tag == tag);
         match line {
             Some(l) => {
                 l.lru = stamp;
@@ -169,7 +181,9 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[self.ways_of(set)]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
     }
 
     /// Fills the line containing `addr`, evicting the LRU way if necessary.
@@ -182,10 +196,14 @@ impl Cache {
         let tag = self.tag(addr);
         let stamp = self.tick();
         self.touched[set >> 6] |= 1 << (set & 63);
+        let span = self.ways_of(set);
 
         // If the line is already present (e.g. a prefetch raced a demand fill)
         // just refresh it.
-        if let Some(l) = self.sets[set].iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(l) = self.lines[span.clone()]
+            .iter_mut()
+            .find(|l| l.valid && l.tag == tag)
+        {
             l.lru = stamp;
             l.dirty |= as_dirty;
             return None;
@@ -197,7 +215,7 @@ impl Cache {
 
         // Choose victim: first invalid way, otherwise LRU.
         let victim_idx = {
-            let ways = &self.sets[set];
+            let ways = &self.lines[span.clone()];
             match ways.iter().position(|l| !l.valid) {
                 Some(i) => i,
                 None => ways
@@ -211,7 +229,7 @@ impl Cache {
 
         let shift = self.set_shift;
         let mask_bits = self.set_mask.count_ones();
-        let victim = self.sets[set][victim_idx];
+        let victim = self.lines[span.start + victim_idx];
         let evicted = if victim.valid {
             if victim.dirty {
                 self.stats.writebacks += 1;
@@ -225,7 +243,7 @@ impl Cache {
             None
         };
 
-        self.sets[set][victim_idx] = Line {
+        self.lines[span.start + victim_idx] = Line {
             tag,
             valid: true,
             dirty: as_dirty,
@@ -241,7 +259,8 @@ impl Cache {
         let set = self.set_index(addr);
         let tag = self.tag(addr);
         self.touched[set >> 6] |= 1 << (set & 63);
-        for l in &mut self.sets[set] {
+        let span = self.ways_of(set);
+        for l in &mut self.lines[span] {
             if l.valid && l.tag == tag {
                 l.valid = false;
                 return true;
@@ -253,10 +272,7 @@ impl Cache {
     /// Number of valid lines currently resident (for tests).
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 
@@ -264,27 +280,15 @@ impl Cache {
 /// one-`u64` way bitmap; wider geometries use the dense layout.
 const SPARSE_MAX_WAYS: usize = 63;
 
-/// Plain-data mirror of one cache line for the snapshot codec.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LineSnap {
-    pub(crate) tag: u64,
-    pub(crate) valid: bool,
-    pub(crate) dirty: bool,
-    pub(crate) prefetched: bool,
-    pub(crate) lru: u64,
-}
-
 impl Cache {
     /// Streams the per-set line state straight into a snapshot writer.
     ///
-    /// The byte layout is exactly what encoding a `Vec<Vec<LineSnap>>` field
-    /// by field would produce — decode still goes through
-    /// [`Cache::from_snap_parts`] — but without materialising one `Vec` per
-    /// set: the encoder serves checkpoint-cache stores and the per-run
-    /// checkpoint-size encode, and the thousands of small allocations
-    /// dominated its cost. Way order inside each
-    /// set is preserved verbatim: it decides which invalid way a fill picks,
-    /// so it is part of the timing-visible state.
+    /// The layout is the set count, then per set either a bitmap of
+    /// non-default ways followed by those ways' fields (sparse), or the way
+    /// count followed by every way's fields (dense, for geometries wider
+    /// than the bitmap); [`Cache::snap_read_sets`] decodes it. Way order
+    /// inside each set is preserved verbatim: it decides which invalid way a
+    /// fill picks, so it is part of the timing-visible state.
     pub(crate) fn snap_write_sets(&self, w: &mut ltp_snapshot::Writer) {
         // LEB128, identical to `Writer::varint`, but into a stack buffer.
         // Tags and LRU stamps are 1–4 bytes wide with no pattern, so the
@@ -323,7 +327,7 @@ impl Cache {
                 }
             }
         }
-        w.varint(self.sets.len() as u64);
+        w.varint((self.lines.len() / self.cfg.ways) as u64);
         if self.cfg.ways <= SPARSE_MAX_WAYS {
             // Sparse per-set layout: a bitmap of non-default ways, then only
             // those ways' fields (tag, packed flags, lru). A short run warms
@@ -340,7 +344,7 @@ impl Cache {
             // scan of every line; each encode walks every set of three
             // caches.)
             let mut buf = [0u8; 10 + SPARSE_MAX_WAYS * 21];
-            for (s, set) in self.sets.iter().enumerate() {
+            for (s, set) in self.lines.chunks_exact(self.cfg.ways).enumerate() {
                 if self.touched[s >> 6] & (1 << (s & 63)) == 0 {
                     // Never-touched set: all ways are still default, which
                     // encodes as the empty bitmap without scanning them.
@@ -369,7 +373,7 @@ impl Cache {
         } else {
             // Dense fallback for geometries whose way count outgrows the
             // bitmap; the decoder picks the same branch from the config.
-            for set in &self.sets {
+            for set in self.lines.chunks_exact(self.cfg.ways) {
                 w.varint(set.len() as u64);
                 for l in set {
                     w.varint(l.tag);
@@ -382,69 +386,83 @@ impl Cache {
         }
     }
 
-    /// Decodes the per-set line state written by [`Cache::snap_write_sets`].
-    /// `cfg` is the already-decoded geometry: the sparse layout derives each
-    /// set's way count (and the sparse-vs-dense branch) from it.
+    /// Decodes the per-set line state written by [`Cache::snap_write_sets`]
+    /// straight into a freshly built cache of geometry `cfg`, raising each
+    /// set's touched bit as it lands (so the result re-encodes
+    /// byte-identically). The LRU clock and statistics stay at zero; the
+    /// caller restores them with [`Cache::snap_restore_counters`].
+    ///
+    /// The geometry is validated against the remaining input before the
+    /// line array is allocated: a corrupted config or set count is a typed
+    /// error whose cost stays proportional to the input.
     pub(crate) fn snap_read_sets(
         r: &mut ltp_snapshot::Reader<'_>,
-        cfg: &CacheConfig,
-    ) -> Result<Vec<Vec<LineSnap>>, ltp_snapshot::SnapError> {
+        cfg: CacheConfig,
+    ) -> Result<Cache, ltp_snapshot::SnapError> {
         use ltp_snapshot::{Codec, SnapError};
         let n = usize::read(r)?;
         // Every set consumes at least one byte (its bitmap or length
-        // varint), so a count beyond the remaining input is corruption —
-        // reject it before sizing any allocation from it.
+        // varint), so a count beyond the remaining input is corruption.
         if n > r.remaining() {
             return Err(SnapError::Truncated);
         }
-        let mut sets = Vec::with_capacity(n);
-        if cfg.ways <= SPARSE_MAX_WAYS {
-            // The sparse layout sizes each decoded set from the config, so
-            // pin the set count to the config's geometry before allocating
-            // (the dense path's per-set length prefixes are input-bounded on
-            // their own; `from_snap_parts` re-validates either way).
-            let expected = cfg
-                .num_sets_checked()
-                .ok_or(SnapError::Invalid("cache geometry"))?;
-            if n != expected {
-                return Err(SnapError::Invalid("cache set count"));
-            }
-            for _ in 0..n {
-                let bitmap = r.varint()?;
-                if cfg.ways < 64 && bitmap >> cfg.ways != 0 {
-                    return Err(SnapError::Invalid("cache way bitmap"));
-                }
-                let mut set = vec![
-                    LineSnap {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        prefetched: false,
-                        lru: 0,
-                    };
-                    cfg.ways
-                ];
-                for (i, l) in set.iter_mut().enumerate() {
-                    if bitmap & (1 << i) != 0 {
-                        l.tag = r.varint()?;
-                        let flags = r.byte()?;
-                        if flags > 0b111 {
-                            return Err(SnapError::Invalid("cache line flags"));
-                        }
-                        l.valid = flags & 1 != 0;
-                        l.dirty = flags & 2 != 0;
-                        l.prefetched = flags & 4 != 0;
-                        l.lru = r.varint()?;
-                    }
-                }
-                sets.push(set);
-            }
-        } else {
-            for _ in 0..n {
-                sets.push(Vec::<LineSnap>::read(r)?);
+        let num_sets = cfg
+            .num_sets_checked()
+            .ok_or(SnapError::Invalid("cache geometry"))?;
+        if n != num_sets {
+            return Err(SnapError::Invalid("cache set count"));
+        }
+        let ways = cfg.ways;
+        if ways > SPARSE_MAX_WAYS {
+            // Dense: every way costs at least five bytes (one-byte tag,
+            // three flag bytes, one-byte LRU stamp), which bounds the line
+            // array by the input before it is sized from the config.
+            let min_bytes = n.checked_mul(ways).and_then(|l| l.checked_mul(5));
+            if min_bytes.is_none_or(|b| b > r.remaining()) {
+                return Err(SnapError::Truncated);
             }
         }
-        Ok(sets)
+        let mut cache = Cache::new(cfg);
+        for (s, set) in cache.lines.chunks_exact_mut(ways).enumerate() {
+            let mut touched = false;
+            if ways <= SPARSE_MAX_WAYS {
+                let bitmap = r.varint()?;
+                if bitmap >> ways != 0 {
+                    return Err(SnapError::Invalid("cache way bitmap"));
+                }
+                touched = bitmap != 0;
+                let mut bits = bitmap;
+                while bits != 0 {
+                    let l = &mut set[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    l.tag = r.varint()?;
+                    let flags = r.byte()?;
+                    if flags > 0b111 {
+                        return Err(SnapError::Invalid("cache line flags"));
+                    }
+                    l.valid = flags & 1 != 0;
+                    l.dirty = flags & 2 != 0;
+                    l.prefetched = flags & 4 != 0;
+                    l.lru = r.varint()?;
+                }
+            } else {
+                if usize::read(r)? != ways {
+                    return Err(SnapError::Invalid("cache way count"));
+                }
+                for l in set.iter_mut() {
+                    l.tag = r.varint()?;
+                    l.valid = bool::read(r)?;
+                    l.dirty = bool::read(r)?;
+                    l.prefetched = bool::read(r)?;
+                    l.lru = r.varint()?;
+                    touched |= *l != Line::invalid();
+                }
+            }
+            if touched {
+                cache.touched[s >> 6] |= 1 << (s & 63);
+            }
+        }
+        Ok(cache)
     }
 
     /// The LRU clock, exported for the snapshot codec.
@@ -452,53 +470,11 @@ impl Cache {
         self.lru_clock
     }
 
-    /// Rebuilds a cache from exported state, validating the geometry.
-    pub(crate) fn from_snap_parts(
-        cfg: CacheConfig,
-        sets: Vec<Vec<LineSnap>>,
-        lru_clock: u64,
-        stats: CacheStats,
-    ) -> Result<Cache, ltp_snapshot::SnapError> {
-        // Validate the geometry against the *decoded* data before building
-        // the cache: `Cache::new` sizes its allocation from the config, so a
-        // corrupted config must be rejected while the cost of doing so is
-        // still proportional to the decoded input, and an inconsistent
-        // geometry must be a typed error rather than `num_sets`'s panic.
-        let num_sets = cfg
-            .num_sets_checked()
-            .ok_or(ltp_snapshot::SnapError::Invalid("cache geometry"))?;
-        if sets.len() != num_sets {
-            return Err(ltp_snapshot::SnapError::Invalid("cache set count"));
-        }
-        if sets.iter().any(|s| s.len() != cfg.ways) {
-            return Err(ltp_snapshot::SnapError::Invalid("cache way count"));
-        }
-        let mut cache = Cache::new(cfg);
-        for (dst, src) in cache.sets.iter_mut().zip(sets) {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = Line {
-                    tag: s.tag,
-                    valid: s.valid,
-                    dirty: s.dirty,
-                    prefetched: s.prefetched,
-                    lru: s.lru,
-                };
-            }
-        }
-        cache.lru_clock = lru_clock;
-        cache.stats = stats;
-        // Rebuild the touched bitmap from the decoded content, so a decoded
-        // cache re-encodes to byte-identical output (a set restored with any
-        // non-default way must not take the untouched shortcut).
-        for (s, set) in cache.sets.iter().enumerate() {
-            if set
-                .iter()
-                .any(|l| l.tag != 0 || l.valid || l.dirty || l.prefetched || l.lru != 0)
-            {
-                cache.touched[s >> 6] |= 1 << (s & 63);
-            }
-        }
-        Ok(cache)
+    /// Restores the LRU clock and statistics of a cache decoded by
+    /// [`Cache::snap_read_sets`].
+    pub(crate) fn snap_restore_counters(&mut self, lru_clock: u64, stats: CacheStats) {
+        self.lru_clock = lru_clock;
+        self.stats = stats;
     }
 }
 

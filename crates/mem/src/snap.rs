@@ -52,30 +52,18 @@ impl_codec!(CacheStats {
     writebacks,
 });
 
-impl_codec!(crate::cache::LineSnap {
-    tag,
-    valid,
-    dirty,
-    prefetched,
-    lru,
-});
-
 impl Codec for Cache {
     fn write(&self, w: &mut Writer) {
         self.config().write(w);
-        // Sets stream straight from the live cache (no per-set `Vec`
-        // materialisation); the byte layout is the same `Vec<Vec<LineSnap>>`
-        // shape `read` decodes below.
         self.snap_write_sets(w);
         self.snap_lru_clock().write(w);
         self.stats().write(w);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let cfg = CacheConfig::read(r)?;
-        let sets = Cache::snap_read_sets(r, &cfg)?;
-        let lru_clock = u64::read(r)?;
-        let stats = CacheStats::read(r)?;
-        Cache::from_snap_parts(cfg, sets, lru_clock, stats)
+        let mut cache = Cache::snap_read_sets(r, cfg)?;
+        cache.snap_restore_counters(u64::read(r)?, CacheStats::read(r)?);
+        Ok(cache)
     }
 }
 

@@ -126,9 +126,15 @@ impl Processor {
     /// Panics if the configuration is inconsistent.
     #[must_use]
     pub fn new(cfg: PipelineConfig) -> Processor {
+        Processor::with_memory(cfg, MemoryHierarchy::new(cfg.mem))
+    }
+
+    /// [`Processor::new`] around an existing memory hierarchy (a
+    /// checkpoint's warm state), so the empty one `new` would build is never
+    /// allocated. `mem` must have been built for `cfg.mem`.
+    pub(crate) fn with_memory(cfg: PipelineConfig, mem: MemoryHierarchy) -> Processor {
         cfg.validate();
-        let mem = MemoryHierarchy::new(cfg.mem);
-        let monitor_timeout = mem.typical_dram_latency() + cfg.mem.l3.latency;
+        let monitor_timeout = cfg.mem.dram.typical_total_latency() + cfg.mem.l3.latency;
         // Size the stage-bus timing wheels for the worst common-case delay:
         // a DRAM access behind the full cache hierarchy plus slack for bank
         // queueing. Longer delays still deliver via the wheels' far level.

@@ -25,7 +25,7 @@ use crate::snapshot::{Snapshot, SnapshotError};
 use crate::Processor;
 use ltp_core::LoadOutcome;
 use ltp_isa::{DecodedTrace, DynInst};
-use ltp_mem::{AccessKind, Cycle, MemoryRequest};
+use ltp_mem::{AccessKind, Cycle, MemoryHierarchy, MemoryRequest};
 
 /// Functional (no-timing) machine state advanced between detailed samples.
 #[derive(Debug)]
@@ -49,13 +49,19 @@ impl FunctionalFastForward {
     /// (sampling drives single-thread points).
     #[must_use]
     pub fn new(cfg: PipelineConfig) -> FunctionalFastForward {
+        FunctionalFastForward::with_memory(cfg, MemoryHierarchy::new(cfg.mem))
+    }
+
+    /// [`FunctionalFastForward::new`] around an existing (warm) memory
+    /// hierarchy built for `cfg.mem`.
+    fn with_memory(cfg: PipelineConfig, mem: MemoryHierarchy) -> FunctionalFastForward {
         assert!(
             !cfg.smt.is_smt(),
             "functional fast-forward drives single-threaded machines"
         );
         // Reuse the full constructor so the LTP monitor timeout and every
         // derived parameter match the detailed machine exactly.
-        let cpu = Processor::new(cfg);
+        let cpu = Processor::with_memory(cfg, mem);
         FunctionalFastForward {
             cpu,
             predictor: BranchPredictor::default_sized(),
@@ -225,10 +231,9 @@ impl FunctionalFastForward {
     /// Returns [`SnapshotError::ClassifierUnsupported`] for custom
     /// classifiers without snapshot support.
     pub fn checkpoint(&self) -> Result<Snapshot, SnapshotError> {
-        let mut cpu = Processor::new(self.cpu.state.cfg);
+        let mut cpu = Processor::with_memory(self.cpu.state.cfg, self.cpu.state.mem.clone());
         let now = self.consumed;
         cpu.state.now = now;
-        cpu.state.mem = self.cpu.state.mem.clone();
         cpu.state.thread.ltp = self.cpu.state.thread.ltp.clone();
         cpu.state.thread.committed = self.consumed;
         cpu.state.thread.last_commit_cycle = now;
@@ -240,8 +245,9 @@ impl FunctionalFastForward {
             predictor: self.predictor.clone(),
         };
         // Statistics start at the checkpoint; the sampled runner narrows the
-        // window further with `ResumedRun::run_measured_from`.
-        Snapshot::capture(&cpu, frontend, None, Some((now, self.consumed)))
+        // window further with `ResumedRun::run_measured_from`. The machine
+        // was built for this snapshot, so its state moves in uncloned.
+        Snapshot::capture_owned(cpu, frontend, None, Some((now, self.consumed)))
     }
 
     /// Captures the **detail-independent** warm state at the current trace
@@ -296,8 +302,7 @@ impl FunctionalFastForward {
         cfg: PipelineConfig,
         state: FunctionalWarmState,
     ) -> FunctionalFastForward {
-        let mut ff = FunctionalFastForward::new(cfg);
-        ff.cpu.state.mem = state.mem;
+        let mut ff = FunctionalFastForward::with_memory(cfg, state.mem);
         ff.cpu.state.thread.ltp.restore_monitor_state(state.monitor);
         match (ClassifierTraining::of(&cfg.ltp), state.classifier) {
             (ClassifierTraining::Trained { .. }, Some(cs)) => {
@@ -311,7 +316,7 @@ impl FunctionalFastForward {
                 panic!("warm state carries classifier training the configuration cannot use")
             }
         }
-        ff.predictor = state.predictor.clone();
+        ff.predictor = state.predictor;
         ff.consumed = state.consumed;
         ff
     }

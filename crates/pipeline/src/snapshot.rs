@@ -605,12 +605,7 @@ impl Snapshot {
         pending: Option<PendingDispatch>,
         stats_from: Option<(Cycle, u64)>,
     ) -> Result<Snapshot, SnapshotError> {
-        if cpu.state.nthreads() != 1 {
-            return Err(SnapshotError::SmtUnsupported);
-        }
-        if !cpu.state.thread.ltp.snapshot_supported() {
-            return Err(SnapshotError::ClassifierUnsupported);
-        }
+        Snapshot::check_capturable(cpu)?;
         Ok(Snapshot {
             cfg: cpu.state.cfg,
             now: cpu.state.now,
@@ -624,6 +619,43 @@ impl Snapshot {
             frontend,
             stats_from,
         })
+    }
+
+    /// [`Snapshot::capture`] of a processor the caller no longer needs: its
+    /// state moves into the snapshot instead of being cloned.
+    pub(crate) fn capture_owned(
+        cpu: Processor,
+        frontend: FrontEndState,
+        pending: Option<PendingDispatch>,
+        stats_from: Option<(Cycle, u64)>,
+    ) -> Result<Snapshot, SnapshotError> {
+        Snapshot::check_capturable(&cpu)?;
+        let Processor {
+            state, mut buses, ..
+        } = cpu;
+        Ok(Snapshot {
+            cfg: state.cfg,
+            now: state.now,
+            mem: state.mem,
+            fu: state.fu,
+            int_free: state.int_free,
+            fp_free: state.fp_free,
+            thread: *state.thread,
+            bus: buses.swap_remove(0),
+            pending,
+            frontend,
+            stats_from,
+        })
+    }
+
+    fn check_capturable(cpu: &Processor) -> Result<(), SnapshotError> {
+        if cpu.state.nthreads() != 1 {
+            return Err(SnapshotError::SmtUnsupported);
+        }
+        if !cpu.state.thread.ltp.snapshot_supported() {
+            return Err(SnapshotError::ClassifierUnsupported);
+        }
+        Ok(())
     }
 
     /// The machine configuration the snapshot was captured from.
@@ -680,9 +712,8 @@ impl Snapshot {
     /// the codec's checks).
     #[must_use]
     pub fn resume(&self) -> ResumedRun {
-        let mut cpu = Processor::new(self.cfg);
+        let mut cpu = Processor::with_memory(self.cfg, self.mem.clone());
         cpu.state.now = self.now;
-        cpu.state.mem = self.mem.clone();
         cpu.state.fu = self.fu.clone();
         cpu.state.int_free = self.int_free.clone();
         cpu.state.fp_free = self.fp_free.clone();

@@ -18,8 +18,14 @@
 //! and configuration are fixed, so the test is deterministic; a failure
 //! means a per-cycle allocation crept back into the IQ, stage-bus, release,
 //! commit or skip path.
+//!
+//! The same counter pins the sampled runner's producer path: a checkpoint,
+//! its resume and its decode make a number of allocations that does not
+//! grow with the caches' set count (each cache is one flat line array), and
+//! fingerprinting a trace allocates nothing.
 
-use ltp_pipeline::{PipelineConfig, Processor};
+use ltp_isa::{trace_fingerprint, DecodedTrace};
+use ltp_pipeline::{FunctionalFastForward, PipelineConfig, Processor, Snapshot};
 use ltp_workloads::{replay_slice, trace, WorkloadKind};
 
 // The counting allocator needs `unsafe impl GlobalAlloc`; the workspace
@@ -80,6 +86,14 @@ static ALLOCATOR: counting::CountingAlloc = counting::CountingAlloc;
 /// the thread that runs the simulation.
 fn alloc_calls() -> u64 {
     counting::calls()
+}
+
+/// Runs `f` and returns the allocation calls it made on this thread, with
+/// its result (dropped by the caller, outside the count).
+fn allocs_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = alloc_calls();
+    let r = f();
+    (alloc_calls() - before, r)
 }
 
 /// Runs `kind` on `cfg` and returns `(steady_cycles, allocating_cycles)`
@@ -143,4 +157,47 @@ fn baseline_steady_state_cycles_do_not_allocate() {
         allocating, 0,
         "{allocating} of {steady} steady-state cycles performed a heap allocation"
     );
+}
+
+/// Allocation calls of `[checkpoint, resume, from_bytes]` for one
+/// functionally warmed checkpoint of the mixed kernel on `cfg`.
+fn checkpoint_path_allocs(cfg: PipelineConfig) -> [u64; 3] {
+    let kind = WorkloadKind::MixedPhases;
+    let detail = trace(kind, 8, 6_000);
+    let dec = DecodedTrace::from_insts(&detail);
+    let mut ff = FunctionalFastForward::new(cfg);
+    ff.warm_caches(&trace(kind, 7, 2_000));
+    ff.advance_on(&dec, 3_000);
+    let (checkpoint, snap) = allocs_of(|| ff.checkpoint().expect("checkpointable"));
+    let (resume, resumed) = allocs_of(|| snap.resume());
+    drop(resumed);
+    let bytes = snap.to_bytes();
+    let (from_bytes, decoded) = allocs_of(|| Snapshot::from_bytes(&bytes).expect("decode"));
+    assert_eq!(decoded.to_bytes(), bytes, "canonical snapshot bytes");
+    [checkpoint, resume, from_bytes]
+}
+
+/// Checkpointing, resuming and decoding allocate per structure, not per
+/// cache set: quadrupling the L3's set count leaves every count unchanged.
+#[test]
+fn checkpoint_allocations_do_not_scale_with_cache_sets() {
+    let base = PipelineConfig::ltp_proposed();
+    let mut mem = base.mem;
+    mem.l3.size_bytes *= 4;
+    assert_eq!(mem.l3.num_sets(), 4 * base.mem.l3.num_sets());
+    let small = checkpoint_path_allocs(base);
+    let large = checkpoint_path_allocs(base.with_mem(mem));
+    assert_eq!(
+        small, large,
+        "[checkpoint, resume, from_bytes] allocation calls with a 4x L3"
+    );
+}
+
+/// Fingerprinting a trace folds its fields in place: no encode buffer.
+#[test]
+fn trace_fingerprint_does_not_allocate() {
+    let insts = trace(WorkloadKind::MixedPhases, 2015, 96_000);
+    let (calls, fnv) = allocs_of(|| trace_fingerprint(&insts));
+    assert_eq!(calls, 0, "trace_fingerprint allocated");
+    assert_eq!(fnv, trace_fingerprint(&insts), "deterministic");
 }

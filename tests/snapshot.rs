@@ -10,7 +10,9 @@
 use ltp_core::{ClassifierKind, LtpConfig, LtpMode};
 use ltp_experiments::runner::{limit_study_config, RunOptions};
 use ltp_experiments::SimBuilder;
+use ltp_mem::{Cache, CacheConfig};
 use ltp_pipeline::{PipelineConfig, RunResult, Snapshot};
+use ltp_snapshot::{encode_value, Codec, Reader, SnapError};
 use ltp_workloads::{replay_slice, WorkloadKind};
 use proptest::prelude::*;
 
@@ -309,6 +311,164 @@ proptest! {
         prop_assert!(
             peak_alloc::PEAK_REQUEST.load(std::sync::atomic::Ordering::Relaxed) < ALLOC_CEILING,
             "an allocation crossed the {ALLOC_CEILING}-byte ceiling"
+        );
+    }
+}
+
+// --- the flat cache's codec -------------------------------------------------
+
+/// A `ways`-way cache of `2^sets_log2` sets driven through `ops` — (address
+/// seed, operation) pairs over a footprint four times its capacity, so sets
+/// fill, conflict, evict and get invalidated.
+fn warmed_cache(ways: usize, sets_log2: u32, ops: &[(u64, u8)]) -> Cache {
+    let sets = 1u64 << sets_log2;
+    let mut cache = Cache::new(CacheConfig {
+        size_bytes: 64 * ways as u64 * sets,
+        line_bytes: 64,
+        ways,
+        latency: 1,
+        tag_to_data: 0,
+    });
+    let footprint = 4 * ways as u64 * sets;
+    for &(seed, op) in ops {
+        let addr = (seed % footprint) * 64;
+        match op {
+            0 => drop(cache.access(addr, false)),
+            1 => drop(cache.access(addr, true)),
+            2 => drop(cache.fill(addr, false, false)),
+            3 => drop(cache.fill(addr, true, seed & 1 == 1)),
+            _ => drop(cache.invalidate(addr)),
+        }
+    }
+    cache
+}
+
+/// Decodes one whole cache encoding; trailing bytes are an error.
+fn decode_cache(bytes: &[u8]) -> Result<Cache, SnapError> {
+    let mut r = Reader::new(bytes);
+    let cache = Cache::read(&mut r)?;
+    match r.remaining() {
+        0 => Ok(cache),
+        n => Err(SnapError::TrailingBytes(n)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// encode → decode → encode of a randomly warmed cache is byte-identical
+    /// for both set layouts (64 ways takes the dense one), and the decoded
+    /// cache goes on to evict exactly what the original does.
+    #[test]
+    fn warmed_cache_roundtrip_is_byte_identical(
+        ways_idx in 0usize..6,
+        sets_log2 in 0u32..7,
+        ops in prop::collection::vec((any::<u64>(), 0u8..5), 0..600),
+    ) {
+        let ways = [1, 2, 4, 8, 16, 64][ways_idx];
+        let mut cache = warmed_cache(ways, sets_log2, &ops);
+        let bytes = encode_value(&cache);
+        let mut decoded = decode_cache(&bytes).expect("decode");
+        prop_assert_eq!(encode_value(&decoded), bytes);
+        prop_assert_eq!(decoded.resident_lines(), cache.resident_lines());
+        for &(seed, _) in ops.iter().take(64) {
+            let addr = seed % (1 << 20) * 64;
+            prop_assert_eq!(decoded.fill(addr, false, false), cache.fill(addr, false, false));
+        }
+        prop_assert_eq!(decoded.stats(), cache.stats());
+    }
+}
+
+/// Byte offsets inside a sparse cache encoding: the set-count varint's span,
+/// each set's bitmap span, and the first line-flags byte.
+struct CacheLayout {
+    count: (usize, usize),
+    bitmaps: Vec<(usize, usize, u64)>,
+    first_flags: usize,
+}
+
+fn sparse_layout(cache: &Cache, bytes: &[u8]) -> CacheLayout {
+    let start = encode_value(cache.config()).len();
+    let mut r = Reader::new(&bytes[start..]);
+    let at = |r: &Reader<'_>| bytes.len() - r.remaining();
+    let sets = r.varint().expect("set count");
+    let count = (start, at(&r));
+    let mut bitmaps = Vec::new();
+    let mut first_flags = None;
+    for _ in 0..sets {
+        let from = at(&r);
+        let bitmap = r.varint().expect("bitmap");
+        bitmaps.push((from, at(&r), bitmap));
+        for _ in 0..bitmap.count_ones() {
+            r.varint().expect("tag");
+            first_flags.get_or_insert(at(&r));
+            r.byte().expect("flags");
+            r.varint().expect("lru");
+        }
+    }
+    CacheLayout {
+        count,
+        bitmaps,
+        first_flags: first_flags.expect("a warmed cache has a resident line"),
+    }
+}
+
+/// `bytes` with `span` replaced by `v` as a LEB128 varint.
+fn splice_varint(bytes: &[u8], span: (usize, usize), v: u64) -> Vec<u8> {
+    let mut w = ltp_snapshot::Writer::new();
+    w.varint(v);
+    [&bytes[..span.0], &w.into_bytes()[..], &bytes[span.1..]].concat()
+}
+
+/// Decoding a cache whose set count, way bitmap, way count or flags byte is
+/// corrupt returns an error — no panic, and no allocation sized by the lie.
+#[test]
+fn corrupt_cache_fields_are_errors() {
+    let ops: Vec<(u64, u8)> = (0..400u64)
+        .map(|i| (i * 2_654_435_761, (i % 5) as u8))
+        .collect();
+    let cache = warmed_cache(4, 4, &ops);
+    let bytes = encode_value(&cache);
+    let layout = sparse_layout(&cache, &bytes);
+    let mut corrupt: Vec<(String, Vec<u8>)> = Vec::new();
+    for n in [0, 15, 17, 1 << 20, 1 << 40, u64::MAX] {
+        corrupt.push((
+            format!("set count {n}"),
+            splice_varint(&bytes, layout.count, n),
+        ));
+    }
+    for (s, &(from, to, bitmap)) in layout.bitmaps.iter().enumerate() {
+        for bad in [bitmap | 1 << 4, 1 << 63] {
+            corrupt.push((
+                format!("set {s} bitmap {bad:#x}"),
+                splice_varint(&bytes, (from, to), bad),
+            ));
+        }
+    }
+    for flags in 8..=255u8 {
+        let mut b = bytes.clone();
+        b[layout.first_flags] = flags;
+        corrupt.push((format!("flags {flags:#x}"), b));
+    }
+
+    // The dense layout's per-set way count.
+    let dense = warmed_cache(64, 1, &ops);
+    let dense_bytes = encode_value(&dense);
+    let way_count_at = encode_value(dense.config()).len() + 1;
+    assert_eq!(dense_bytes[way_count_at], 64, "first set's way count");
+    for ways in [0, 63, 65, 1 << 40] {
+        corrupt.push((
+            format!("dense way count {ways}"),
+            splice_varint(&dense_bytes, (way_count_at, way_count_at + 1), ways),
+        ));
+    }
+
+    assert!(decode_cache(&bytes).is_ok() && decode_cache(&dense_bytes).is_ok());
+    for (what, b) in &corrupt {
+        assert!(decode_cache(b).is_err(), "{what} decoded");
+        assert!(
+            peak_alloc::PEAK_REQUEST.load(std::sync::atomic::Ordering::Relaxed) < ALLOC_CEILING,
+            "{what}: an allocation crossed the {ALLOC_CEILING}-byte ceiling"
         );
     }
 }
